@@ -2,7 +2,8 @@
 // without writing code.
 //
 //   ./examples/scenario_runner --list [--json | --markdown]
-//       Enumerate the registered scenarios (paper figures/tables, the
+//       Enumerate the catalog — the committed scenarios/*.json files, built
+//       into the binary, in file-name order (paper figures/tables, the
 //       partition / flapping / churn kinds, the composed fault timelines
 //       and the big-* large-cluster tier). --json emits a machine-readable
 //       catalog: name, paper ref, description, cluster size and the
@@ -12,18 +13,21 @@
 //
 //   ./examples/scenario_runner --scenario NAME [overrides]
 //       Run a cataloged scenario; any flag below overrides that field.
+//       --scenario NAME and --scenario-file scenarios/NAME.json run the
+//       same experiment.
 //
 //   ./examples/scenario_runner [flags]
-//       Compose and run an ad-hoc scenario:
+//       Compose and run an ad-hoc scenario. Without --fault it runs the
+//       paper's interval anomaly: 8 members blocked 16384 ms / open 4 ms
+//       in lock-step for the whole observation window.
 //     --nodes N          cluster size               (default 64)
 //     --config NAME      swim|lha-probe|lha-suspicion|buddy|lifeguard
 //                                                   (default lifeguard)
-//     --anomaly KIND     none|threshold|interval|stress|partition|flapping|
-//                        churn                      (default interval)
-//     --victims C        anomaly set size            (default 8)
-//     --duration MS      anomaly duration D in ms    (default 16384)
-//     --interval MS      recovery interval I in ms   (default 4)
-//     --length S         observation length, seconds (default 120)
+//     --length S         observation window, seconds (default 120). Sets
+//                        only the window: fault spans come from the
+//                        timeline, and a cataloged fault is never
+//                        re-spanned (the ad-hoc default fault spans the
+//                        final window)
 //     --quiesce S        settling time, seconds      (default 15)
 //     --alpha A --beta B suspicion tuning            (default 5 / 6)
 //     --seed S           RNG seed                    (default 1)
@@ -31,12 +35,13 @@
 //                        static                      (default swim)
 //
 //   ./examples/scenario_runner --fault SPEC [--fault SPEC]... [flags]
-//       Compose a fault timeline instead of a single anomaly; each SPEC is
-//       KIND@AT:DUR[,key=val]... (see fault/fault.h for the grammar), e.g.
+//       Compose the fault timeline, replacing the base scenario's; each
+//       SPEC is KIND@AT:DUR[,key=val]... (see fault/fault.h for the
+//       grammar), e.g.
 //         --fault stress@0s:60s,victims=2 --fault partition@15s:20s,victims=5
 //         --fault loss@0s:90s,pct=25,egress=0.3,ingress=0.1
-//       --fault replaces the --anomaly/--victims/--duration/--interval
-//       single-slot flags (mixing them is rejected).
+//       docs/scenario-files.md has a --fault spec for each of the paper's
+//       anomaly shapes.
 //
 //   ./examples/scenario_runner --check [flags]
 //       Evaluate the built-in protocol invariant suite (src/check) live
@@ -99,10 +104,6 @@
 //       --trace and --campaign compose with it. Malformed files are
 //       rejected with a message naming the offending key/value.
 //
-//   ./examples/scenario_runner --export-scenarios DIR
-//       Write every registry scenario to DIR/<name>.json (the committed
-//       scenarios/ tree; CI re-exports and fails when it is stale).
-//
 //   ./examples/scenario_runner --validate-scenarios PATH
 //       Strictly validate one scenario file, or every *.json under a
 //       directory (scenarios/baselines.json validates as a baselines
@@ -113,7 +114,7 @@
 //       Coverage-guided fault-timeline fuzzing (src/fuzz): N trials of
 //       mutated fault timelines run against the composed base scenario
 //       (cluster shape, config, membership and check tolerances compose
-//       as usual; the anomaly/timeline slots are replaced per candidate
+//       as usual; the timeline is replaced per candidate
 //       and the invariant suite is force-enabled). Every violation is
 //       auto-shrunk (check::shrink) and written to DIR as a committed-
 //       format reproducer scenario plus a baselines.json entry; the
@@ -255,11 +256,9 @@ swim::Config config_by_name(const std::string& name) {
               "' (expected swim|lha-probe|lha-suspicion|buddy|lifeguard)");
 }
 
-/// The timeline a catalog entry executes: explicit, or the AnomalyPlan
-/// shim's one-entry equivalent. Shown in both catalog formats.
+/// A scenario's fault timeline for the catalogs and the run banner.
 std::string timeline_summary(const Scenario& s) {
-  const fault::Timeline tl = s.effective_timeline();
-  return tl.empty() ? "none" : tl.summary();
+  return s.timeline.empty() ? "none" : s.timeline.summary();
 }
 
 void list_catalog() {
@@ -520,24 +519,6 @@ std::vector<RunResult> run_registry(const std::vector<Scenario>& all,
   return results;
 }
 
-int run_export_scenarios(const std::string& dir) {
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  const auto& all = ScenarioRegistry::builtin().all();
-  for (const Scenario& s : all) {
-    std::string error;
-    if (!ScenarioFile::save(s, dir + "/" + ScenarioFile::filename(s),
-                            error)) {
-      std::fprintf(stderr, "scenario_runner: --export-scenarios: %s\n",
-                   error.c_str());
-      return 2;
-    }
-  }
-  std::printf("exported %zu scenario files to %s/\n", all.size(),
-              dir.c_str());
-  return 0;
-}
-
 /// One file's strict validation, dispatched on the canonical filename:
 /// baselines.json is the band document, coverage.json the fuzz coverage
 /// report, everything else a scenario.
@@ -674,8 +655,8 @@ int run_fuzz(const Scenario& base, int trials, std::uint64_t fuzz_seed,
     std::printf("finding: %s (trial %d, shrunk to %zu timeline entr%s "
                 "in %d round(s))%s%s\n",
                 invariants.c_str(), f.trial_index,
-                f.reproducer.effective_timeline().size(),
-                f.reproducer.effective_timeline().size() == 1 ? "y" : "ies",
+                f.reproducer.timeline.size(),
+                f.reproducer.timeline.size() == 1 ? "y" : "ies",
                 f.shrink.rounds, f.file.empty() ? "" : " -> ",
                 f.file.c_str());
   }
@@ -723,23 +704,23 @@ int main(int argc, char** argv) {
   s.summary = "ad-hoc scenario composed from flags";
   s.cluster_size = 64;
   s.config = swim::Config::lifeguard();
-  s.anomaly = AnomalyPlan::cycling(8, msec(16384), msec(4));
   s.run_length = sec(120);
+  bool adhoc = true;  // no --scenario / --scenario-file base
 
   // Flag values are collected first and applied on top of the base scenario
   // (the catalog entry or the ad-hoc default) so order doesn't matter.
   std::optional<double> alpha, beta;
-  std::optional<int> nodes, victims;
-  std::optional<Duration> duration, interval, length, quiesce;
+  std::optional<int> nodes;
+  std::optional<Duration> length, quiesce;
   std::optional<std::uint64_t> seed;
-  std::optional<std::string> anomaly_name, config_name, membership;
+  std::optional<std::string> config_name, membership;
   std::vector<fault::TimelineEntry> fault_entries;
   bool campaign_mode = false;
   bool check_mode = false;
   int reps = 5;
   int jobs = 0;  // 0 = one worker per hardware thread
   std::optional<std::string> json_path, csv_path, trace_path, replay_path;
-  std::optional<std::string> export_dir, validate_path, record_path;
+  std::optional<std::string> validate_path, record_path;
   std::optional<std::string> gate_path, gate_registry_path;
   bool include_big = false;
   std::optional<std::string> metrics_out;
@@ -773,13 +754,13 @@ int main(int argc, char** argv) {
                     "' — run with --list to see the catalog");
       }
       s = *found;
+      adhoc = false;
     } else if (arg == "--scenario-file") {
       std::string error;
       const auto loaded = ScenarioFile::load(next(), error);
       if (!loaded) usage_error("--scenario-file: " + error);
       s = *loaded;
-    } else if (arg == "--export-scenarios") {
-      export_dir = next();
+      adhoc = false;
     } else if (arg == "--validate-scenarios") {
       validate_path = next();
     } else if (arg == "--record-baselines") {
@@ -800,14 +781,6 @@ int main(int argc, char** argv) {
       if (!membership::parse_spec(*membership, &error)) {
         usage_error("--membership: " + error);
       }
-    } else if (arg == "--anomaly") {
-      anomaly_name = next();
-    } else if (arg == "--victims") {
-      victims = static_cast<int>(parse_int(arg, next(), 0, 4096));
-    } else if (arg == "--duration") {
-      duration = msec(parse_int(arg, next(), 1, 86400000));
-    } else if (arg == "--interval") {
-      interval = msec(parse_int(arg, next(), 1, 86400000));
     } else if (arg == "--length") {
       length = sec(parse_int(arg, next(), 1, 86400));
     } else if (arg == "--quiesce") {
@@ -868,15 +841,12 @@ int main(int argc, char** argv) {
   // The registry-wide subcommands don't run the composed scenario; they are
   // dispatched here, one per invocation.
   {
-    const int subcommands = (export_dir ? 1 : 0) + (validate_path ? 1 : 0) +
-                            (record_path ? 1 : 0) +
+    const int subcommands = (validate_path ? 1 : 0) + (record_path ? 1 : 0) +
                             (gate_registry_path ? 1 : 0);
     if (subcommands > 1) {
-      usage_error("--export-scenarios, --validate-scenarios, "
-                  "--record-baselines and --gate-registry are one-per-"
-                  "invocation subcommands");
+      usage_error("--validate-scenarios, --record-baselines and "
+                  "--gate-registry are one-per-invocation subcommands");
     }
-    if (export_dir) return run_export_scenarios(*export_dir);
     if (validate_path) return run_validate_scenarios(*validate_path);
     if (record_path) return run_record_baselines(*record_path, include_big,
                                                  jobs);
@@ -910,52 +880,25 @@ int main(int argc, char** argv) {
     if (alpha) s.config.suspicion_alpha = *alpha;
     if (beta) s.config.suspicion_beta = *beta;
   }
-  if (anomaly_name) {
-    const auto kind = anomaly_kind_from_name(*anomaly_name);
-    if (!kind) {
-      usage_error("unknown --anomaly '" + *anomaly_name +
-                  "' (expected none|threshold|interval|stress|partition|"
-                  "flapping|churn)");
-    }
-    s.anomaly.kind = *kind;
-    if (*kind == AnomalyKind::kNone) s.anomaly.victims = 0;
-  }
-  if (victims) s.anomaly.victims = *victims;
-  if (duration) s.anomaly.duration = *duration;
-  if (interval) s.anomaly.interval = *interval;
-
   if (!fault_entries.empty()) {
-    if (anomaly_name || victims || duration || interval) {
-      usage_error("--fault composes a timeline and cannot be mixed with the "
-                  "single-slot --anomaly/--victims/--duration/--interval "
-                  "flags");
-    }
-    s.anomaly = AnomalyPlan::none();
     s.timeline = fault::Timeline{};
     for (fault::TimelineEntry& e : fault_entries) s.timeline.add(std::move(e));
+  } else if (adhoc) {
+    // The ad-hoc default fault spans the final observation window.
+    s.timeline.add(Duration{}, s.run_length,
+                   fault::Fault::interval_block(msec(16384), msec(4)),
+                   fault::VictimSelector::uniform(8));
   }
 
   // Mention the backend only when it isn't the default — keeps swim output
   // (and anything diffing it) byte-identical to pre-backend versions.
   const std::string membership_note =
       s.membership == "swim" ? "" : " membership=" + s.membership;
-  if (s.timeline.empty()) {
-    std::printf("scenario: %s — %d nodes, %s, anomaly=%s victims=%d "
-                "D=%.0fms I=%.0fms length=%.0fs seed=%llu%s\n\n",
-                s.name.c_str(), s.cluster_size, s.config.table1_name().c_str(),
-                anomaly_kind_name(s.anomaly.kind), s.anomaly.victims,
-                s.anomaly.duration.millis(), s.anomaly.interval.millis(),
-                s.run_length.seconds(),
-                static_cast<unsigned long long>(s.seed),
-                membership_note.c_str());
-  } else {
-    std::printf("scenario: %s — %d nodes, %s, timeline [%s] "
-                "length=%.0fs seed=%llu%s\n\n",
-                s.name.c_str(), s.cluster_size, s.config.table1_name().c_str(),
-                s.timeline.summary().c_str(), s.run_length.seconds(),
-                static_cast<unsigned long long>(s.seed),
-                membership_note.c_str());
-  }
+  std::printf("scenario: %s — %d nodes, %s, timeline [%s] "
+              "length=%.0fs seed=%llu%s\n\n",
+              s.name.c_str(), s.cluster_size, s.config.table1_name().c_str(),
+              timeline_summary(s).c_str(), s.run_length.seconds(),
+              static_cast<unsigned long long>(s.seed), membership_note.c_str());
 
   if (check_mode) s.checks = check::Spec::all();
   if (suspicion_cap) s.checks.suspicion_cap = *suspicion_cap;

@@ -149,7 +149,7 @@ TraceHeader make_header(const harness::Scenario& s) {
   h.network = s.network;
   h.msg_proc_cost = s.msg_proc_cost;
   h.recv_buffer_bytes = s.recv_buffer_bytes;
-  h.timeline = timeline_specs(s.effective_timeline());
+  h.timeline = timeline_specs(s.timeline);
   h.checks = s.checks;
   h.metrics_interval = s.metrics_interval;
   h.membership = s.membership;

@@ -191,9 +191,9 @@ std::vector<int> VictimSelector::resolve(int cluster_size, Rng& rng,
     }
     case Mode::kUniform:
     case Mode::kFraction: {
-      // Shuffle-then-truncate over the eligible indices: exactly the legacy
-      // pick_victims() / pick_churn_victims() draw sequence (AnomalyPlan
-      // replay parity depends on this).
+      // Shuffle-then-truncate over the eligible indices: exactly the
+      // pick_victims() / pick_churn_victims() draw sequence (the golden
+      // seeds and committed baselines depend on this).
       std::vector<int> all;
       for (int i = exclude_seed_node ? 1 : 0; i < cluster_size; ++i) {
         all.push_back(i);

@@ -3,9 +3,8 @@
 // A `Fault` is one kind of badness with its parameters — the process-level
 // kinds the paper's evaluation is built on (block/threshold, interval
 // cycles, CPU-starvation stress, flapping, churn, partition) plus
-// network-level primitives the single-slot AnomalyPlan could never express:
-// asymmetric link loss, added latency/jitter, datagram duplication and
-// reordering.
+// network-level primitives: asymmetric link loss, added latency/jitter,
+// datagram duplication and reordering.
 //
 // A `VictimSelector` says *who* is afflicted: a uniform random draw (the
 // paper's choice), explicit node indices, a percentage of the cluster, or a
@@ -19,9 +18,9 @@
 // from `kind@AT:DUR,key=val` flag syntax, and summary() renders them for
 // catalogs.
 //
-// Execution lives in fault/injector.h. harness::AnomalyPlan is now a thin
-// shim producing a one-entry Timeline (scenario.h); its replay is
-// bit-identical to the pre-Timeline engine by construction.
+// Execution lives in fault/injector.h. A Timeline is the only fault model:
+// harness::Scenario carries one, scenario files store it as `--fault`
+// strings, and an empty Timeline is a healthy run.
 #pragma once
 
 #include <cstdint>
@@ -126,8 +125,8 @@ struct VictimSelector {
 
   /// Materialize the victim set. `exclude_seed_node` removes node 0 from the
   /// random draws (churn: node 0 is the rejoin seed). The uniform draw is
-  /// shuffle-then-truncate, matching the legacy pick_victims() exactly so
-  /// AnomalyPlan replay stays bit-identical.
+  /// shuffle-then-truncate, matching pick_victims() exactly so the golden
+  /// seeds stay bit-identical.
   std::vector<int> resolve(int cluster_size, Rng& rng,
                            bool exclude_seed_node) const;
 
@@ -225,8 +224,7 @@ void perturb_timeline_entry(TimelineEntry& e, int cluster_size,
 
 /// "The test ends at the end of the next anomalous period" (§V-D2):
 /// `span` rounded up to whole (duration + interval) cycles. One definition,
-/// shared by the injector's drain computation and the legacy-grid sweeps, so
-/// shim parity cannot drift.
+/// shared by the injector's drain computation and the interval-grid sweeps.
 Duration cycle_aligned_length(Duration span, Duration duration,
                               Duration interval);
 

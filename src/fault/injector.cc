@@ -15,8 +15,8 @@ namespace lifeguard::fault {
 Duration FaultInjector::plan_total_run(const Timeline& tl,
                                        Duration run_length) {
   // The run must cover the observation window, every entry's own minimum
-  // quiet point, and the largest per-kind settle slack. For a one-entry shim
-  // Timeline this reduces exactly to the legacy per-kind drain times.
+  // quiet point, and the largest per-kind settle slack. For a one-entry
+  // Timeline this reduces exactly to the paper drivers' per-kind drains.
   Duration total = run_length;
   Duration slack{};
   for (const TimelineEntry& e : tl.entries()) {

@@ -5,9 +5,8 @@
 //
 //   * plan_total_run() computes how long the run must last so every entry
 //     completes and settles — pure arithmetic over the Timeline, shared by
-//     any backend. For a one-entry Timeline produced by the AnomalyPlan shim
-//     it reproduces the legacy engine's per-kind drain times exactly
-//     (golden-seed parity).
+//     any backend. For a one-entry Timeline it reproduces the paper
+//     drivers' per-kind drain times exactly (golden-seed parity).
 //   * inject(sim::Simulator&) resolves each entry's victims in entry order
 //     (fixed Rng draw sequence) and compiles the entries onto the event
 //     queue: process-level kinds reuse the sim/anomaly.h schedules;

@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "common/metrics.h"
-#include "harness/experiment.h"
 #include "harness/scenario.h"
 #include "obs/export.h"
 
@@ -44,24 +43,30 @@ struct AxisPoint {
   std::string label;
   /// Folded into trial_seed(). Give points of a *workload* axis distinct
   /// salts (different schedules per point) and points of a *configuration*
-  /// axis identical salts (paired runs: every config sees the same anomaly
+  /// axis identical salts (paired runs: every config sees the same fault
   /// schedule at the same grid point, sharpening %-of-baseline comparisons).
   std::uint64_t seed_salt = 0;
   std::function<void(Scenario&)> apply;
 };
 
+/// One of the paper's Table I protocol configurations, by its table name.
+struct NamedConfig {
+  std::string name;
+  swim::Config config;
+};
+
+/// The five Table I configurations in paper order, with the given suspicion
+/// tuning applied (α/β only affect configs with LHA-Suspicion; the SWIM
+/// baseline's fixed timeout is always α = 5, β = 1).
+std::vector<NamedConfig> table1_configs(double alpha = 5.0, double beta = 6.0);
+
 /// A named sweep dimension. Factories cover the common Scenario fields; use
-/// custom() to sweep anything else.
+/// custom() to sweep anything else (fault parameters sweep through
+/// timeline_at / timeline_duration or a custom axis over a timeline entry).
 struct Axis {
   std::string name;
   std::vector<AxisPoint> points;
 
-  /// anomaly.victims sweep (salt = count).
-  static Axis victims(const std::vector<int>& counts);
-  /// anomaly.duration sweep (salt = microseconds; labels in ms).
-  static Axis duration(const std::vector<Duration>& values);
-  /// anomaly.interval sweep (salt = microseconds; labels in ms).
-  static Axis interval(const std::vector<Duration>& values);
   /// cluster_size sweep (salt = size).
   static Axis cluster_size(const std::vector<int>& sizes);
   /// Protocol-configuration sweep. All points share salt 0: runs are paired
@@ -98,7 +103,7 @@ struct Campaign {
   /// never depend on this value.
   int jobs = 0;
   /// Optional post-processing applied after every axis, before validation
-  /// (e.g. legacy grid semantics that couple several swept fields).
+  /// (e.g. grid semantics that couple several swept fields).
   std::function<void(Scenario&)> finalize;
   /// Retain each trial's full Metrics registry in the CampaignResult. Off by
   /// default: the registry is the bulky part of a RunResult and aggregation
@@ -139,7 +144,7 @@ std::vector<GridPoint> expand_grid(const Campaign& c);
 /// Per-trial seed derivation: a SplitMix64 chain over the base seed, each
 /// axis salt in axis order, and the repetition index. Depends only on the
 /// campaign descriptor — never on thread scheduling — so every trial replays
-/// bit-identically at any `jobs` level. sweep.h's legacy run_seed() is this
+/// bit-identically at any `jobs` level. sweep.h's run_seed() is this
 /// chain with salts {c, d_us, i_us}.
 std::uint64_t trial_seed(std::uint64_t base,
                          const std::vector<std::uint64_t>& salts, int rep);

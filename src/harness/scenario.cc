@@ -17,130 +17,6 @@
 namespace lifeguard::harness {
 
 // ---------------------------------------------------------------------------
-// Anomaly plan
-
-const char* anomaly_kind_name(AnomalyKind k) {
-  switch (k) {
-    case AnomalyKind::kNone:
-      return "none";
-    case AnomalyKind::kThreshold:
-      return "threshold";
-    case AnomalyKind::kInterval:
-      return "interval";
-    case AnomalyKind::kStress:
-      return "stress";
-    case AnomalyKind::kPartition:
-      return "partition";
-    case AnomalyKind::kFlapping:
-      return "flapping";
-    case AnomalyKind::kChurn:
-      return "churn";
-  }
-  return "?";
-}
-
-std::optional<AnomalyKind> anomaly_kind_from_name(std::string_view name) {
-  for (AnomalyKind k :
-       {AnomalyKind::kNone, AnomalyKind::kThreshold, AnomalyKind::kInterval,
-        AnomalyKind::kStress, AnomalyKind::kPartition, AnomalyKind::kFlapping,
-        AnomalyKind::kChurn}) {
-    if (name == anomaly_kind_name(k)) return k;
-  }
-  return std::nullopt;
-}
-
-AnomalyPlan AnomalyPlan::none() { return {}; }
-
-AnomalyPlan AnomalyPlan::threshold(int victims, Duration duration) {
-  AnomalyPlan p;
-  p.kind = AnomalyKind::kThreshold;
-  p.victims = victims;
-  p.duration = duration;
-  return p;
-}
-
-AnomalyPlan AnomalyPlan::cycling(int victims, Duration duration,
-                                 Duration interval) {
-  AnomalyPlan p;
-  p.kind = AnomalyKind::kInterval;
-  p.victims = victims;
-  p.duration = duration;
-  p.interval = interval;
-  return p;
-}
-
-AnomalyPlan AnomalyPlan::stressed(int victims, sim::StressParams params) {
-  AnomalyPlan p;
-  p.kind = AnomalyKind::kStress;
-  p.victims = victims;
-  p.stress = params;
-  return p;
-}
-
-AnomalyPlan AnomalyPlan::partition(int island_size, Duration heal_after) {
-  AnomalyPlan p;
-  p.kind = AnomalyKind::kPartition;
-  p.victims = island_size;
-  p.duration = heal_after;
-  return p;
-}
-
-AnomalyPlan AnomalyPlan::flapping(int victims, Duration duration,
-                                  Duration interval) {
-  AnomalyPlan p;
-  p.kind = AnomalyKind::kFlapping;
-  p.victims = victims;
-  p.duration = duration;
-  p.interval = interval;
-  return p;
-}
-
-AnomalyPlan AnomalyPlan::churn(int victims, Duration downtime,
-                               Duration uptime) {
-  AnomalyPlan p;
-  p.kind = AnomalyKind::kChurn;
-  p.victims = victims;
-  p.duration = downtime;
-  p.interval = uptime;
-  return p;
-}
-
-fault::Timeline AnomalyPlan::to_timeline(Duration run_length) const {
-  // The one-entry mapping the engine executes. Entry spans: one-shot kinds
-  // (threshold, partition) are active for their own duration; cycling kinds
-  // (interval, stress, flapping, churn) keep injecting until the observation
-  // window closes, so their span is run_length itself.
-  fault::Timeline tl;
-  const fault::VictimSelector who = fault::VictimSelector::uniform(victims);
-  switch (kind) {
-    case AnomalyKind::kNone:
-      break;
-    case AnomalyKind::kThreshold:
-      tl.add(Duration{}, duration, fault::Fault::block(), who);
-      break;
-    case AnomalyKind::kInterval:
-      tl.add(Duration{}, run_length,
-             fault::Fault::interval_block(duration, interval), who);
-      break;
-    case AnomalyKind::kStress:
-      tl.add(Duration{}, run_length, fault::Fault::stressed(stress), who);
-      break;
-    case AnomalyKind::kPartition:
-      tl.add(Duration{}, duration, fault::Fault::partition(), who);
-      break;
-    case AnomalyKind::kFlapping:
-      tl.add(Duration{}, run_length, fault::Fault::flapping(duration, interval),
-             who);
-      break;
-    case AnomalyKind::kChurn:
-      tl.add(Duration{}, run_length, fault::Fault::churn(duration, interval),
-             who);
-      break;
-  }
-  return tl;
-}
-
-// ---------------------------------------------------------------------------
 // Validation
 
 namespace {
@@ -205,115 +81,7 @@ std::vector<std::string> Scenario::validate() const {
     }
   }
 
-  if (!timeline.empty()) {
-    if (anomaly.kind != AnomalyKind::kNone) {
-      fail(std::string("scenario sets both anomaly (kind '") +
-           anomaly_kind_name(anomaly.kind) +
-           "') and a fault timeline — migrate the AnomalyPlan entry into the "
-           "timeline (AnomalyPlan::to_timeline) or clear one of them");
-    }
-    for (std::string& e : timeline.validate(cluster_size)) {
-      fail(std::move(e));
-    }
-  }
-
-  const AnomalyPlan& a = anomaly;
-  const std::string kind = anomaly_kind_name(a.kind);
-  if (a.victims < 0) {
-    fail("anomaly.victims (" + std::to_string(a.victims) + ") must be >= 0");
-  }
-  if (a.kind == AnomalyKind::kNone) {
-    if (a.victims != 0) {
-      fail("anomaly.victims (" + std::to_string(a.victims) +
-           ") must be 0 for kind 'none' — pick an anomaly kind to afflict "
-           "members");
-    }
-    return errors;
-  }
-
-  if (a.victims == 0) {
-    fail("anomaly.victims must be >= 1 for kind '" + kind +
-         "' — use AnomalyKind::kNone for a healthy baseline run");
-  }
-  if (a.victims > cluster_size) {
-    fail("anomaly.victims (" + std::to_string(a.victims) +
-         ") must be <= cluster_size (" + std::to_string(cluster_size) + ")");
-  }
-
-  switch (a.kind) {
-    case AnomalyKind::kThreshold:
-      if (a.duration <= Duration{0}) {
-        fail("anomaly.duration (" + secs(a.duration) +
-             ") must be > 0 for kind 'threshold' — it is the length D of "
-             "the synchronized block");
-      }
-      break;
-    case AnomalyKind::kInterval:
-    case AnomalyKind::kFlapping:
-      if (a.duration <= Duration{0}) {
-        fail("anomaly.duration (" + secs(a.duration) +
-             ") must be > 0 for kind '" + kind +
-             "' — it is the blocked span D of each cycle");
-      }
-      if (a.interval <= Duration{0}) {
-        fail("anomaly.interval (" + secs(a.interval) +
-             ") must be > 0 for kind '" + kind +
-             "' — it is the open window I between blocks; use 'threshold' "
-             "for one uninterrupted block");
-      }
-      break;
-    case AnomalyKind::kStress:
-      if (a.stress.block_min <= Duration{0} ||
-          a.stress.block_min > a.stress.block_max) {
-        fail("anomaly.stress block range [" + secs(a.stress.block_min) +
-             ", " + secs(a.stress.block_max) +
-             "] must satisfy 0 < block_min <= block_max (spans are drawn "
-             "log-uniform)");
-      }
-      if (a.stress.run_min <= Duration{0} ||
-          a.stress.run_min > a.stress.run_max) {
-        fail("anomaly.stress run range [" + secs(a.stress.run_min) + ", " +
-             secs(a.stress.run_max) +
-             "] must satisfy 0 < run_min <= run_max (spans are drawn "
-             "log-uniform)");
-      }
-      break;
-    case AnomalyKind::kPartition:
-      if (a.victims >= cluster_size) {
-        fail("anomaly.victims (" + std::to_string(a.victims) +
-             ") is the island size and must be <= cluster_size - 1 (" +
-             std::to_string(cluster_size - 1) +
-             ") — a partition needs members on both sides");
-      }
-      if (a.duration <= Duration{0}) {
-        fail("anomaly.duration (" + secs(a.duration) +
-             ") must be > 0 for kind 'partition' — it is how long the "
-             "split lasts before healing");
-      } else if (a.duration > run_length) {
-        fail("anomaly.duration (" + secs(a.duration) +
-             ") must be <= run_length (" + secs(run_length) +
-             ") for kind 'partition' — the heal and re-merge must fall "
-             "inside the observation window");
-      }
-      break;
-    case AnomalyKind::kChurn:
-      if (a.victims >= cluster_size) {
-        fail("anomaly.victims (" + std::to_string(a.victims) +
-             ") must be <= cluster_size - 1 (" +
-             std::to_string(cluster_size - 1) +
-             ") for kind 'churn' — node 0 is the rejoin seed and is never "
-             "churned");
-      }
-      if (a.duration <= Duration{0} || a.interval <= Duration{0}) {
-        fail("anomaly.duration (" + secs(a.duration) +
-             ") and anomaly.interval (" + secs(a.interval) +
-             ") must both be > 0 for kind 'churn' — downtime after a crash "
-             "and uptime after the restart");
-      }
-      break;
-    case AnomalyKind::kNone:
-      break;  // handled above
-  }
+  for (std::string& e : timeline.validate(cluster_size)) fail(std::move(e));
   return errors;
 }
 
@@ -336,7 +104,9 @@ ScenarioError::ScenarioError(std::vector<std::string> errors)
 namespace {
 
 /// Collect FP / FP⁻ counts and latency samples from the per-node event logs
-/// (accounting per §V-F1/F2; see experiment.h for definitions).
+/// (accounting per §V-F1/F2): an FP event is a node *originating* a dead
+/// declaration (its own suspicion timeout) about a member outside the victim
+/// set; FP⁻ additionally requires the originator to be outside it too.
 void extract_results(sim::Simulator& sim, const std::vector<int>& victims,
                      TimePoint anomaly_start, RunResult& out) {
   std::set<std::string> victim_names;
@@ -393,10 +163,7 @@ void extract_results(sim::Simulator& sim, const std::vector<int>& victims,
 
 }  // namespace
 
-fault::Timeline Scenario::effective_timeline() const {
-  if (!timeline.empty()) return timeline;
-  return anomaly.to_timeline(run_length);
-}
+fault::Timeline Scenario::effective_timeline() const { return timeline; }
 
 RunResult run(const Scenario& s, const std::vector<check::TraceSink*>& sinks) {
   if (auto errors = s.validate(); !errors.empty()) {
@@ -444,13 +211,11 @@ RunResult run(const Scenario& s, const std::vector<check::TraceSink*>& sinks) {
   cluster->start();
   cluster->run_for(s.quiesce);
 
-  // One path for every scenario: compile the effective timeline (the
-  // explicit one, or the AnomalyPlan shim's one-entry equivalent) onto the
-  // event queue and run until every entry has completed and settled.
-  const fault::Timeline tl = s.effective_timeline();
+  // One path for every scenario: compile the timeline onto the event queue
+  // and run until every entry has completed and settled.
   const TimePoint start = sim.now();
   const fault::InjectionOutcome outcome =
-      fault::FaultInjector().inject(sim, tl, start, s.run_length);
+      fault::FaultInjector().inject(sim, s.timeline, start, s.run_length);
   sim.run_until(start + outcome.total_run);
 
   RunResult out;
@@ -464,449 +229,6 @@ RunResult run(const Scenario& s, const std::vector<check::TraceSink*>& sinks) {
     out.checks = checker->report();
   }
   return out;
-}
-
-// ---------------------------------------------------------------------------
-// Registry
-
-void ScenarioRegistry::add(Scenario s) {
-  if (auto errors = s.validate(); !errors.empty()) {
-    throw ScenarioError(std::move(errors));
-  }
-  if (find(s.name) != nullptr) {
-    throw ScenarioError({"a scenario named '" + s.name +
-                         "' is already registered — scenario names are "
-                         "unique registry keys"});
-  }
-  scenarios_.push_back(std::move(s));
-}
-
-const Scenario* ScenarioRegistry::find(std::string_view name) const {
-  for (const auto& s : scenarios_) {
-    if (s.name == name) return &s;
-  }
-  return nullptr;
-}
-
-std::vector<std::string> ScenarioRegistry::names() const {
-  std::vector<std::string> out;
-  out.reserve(scenarios_.size());
-  for (const auto& s : scenarios_) out.push_back(s.name);
-  return out;
-}
-
-namespace {
-
-ScenarioRegistry make_builtin() {
-  ScenarioRegistry reg;
-  auto base = [](std::string name, std::string summary, std::string ref) {
-    Scenario s;
-    s.name = std::move(name);
-    s.summary = std::move(summary);
-    s.paper_ref = std::move(ref);
-    return s;
-  };
-
-  // ---- the paper's evaluation setups ----
-  {
-    Scenario s = base("fig1-cpu-exhaustion",
-                      "100 members, 4 under stochastic CPU starvation for "
-                      "5 minutes; count FP and FP- declarations",
-                      "Fig. 1");
-    s.cluster_size = 100;
-    s.config = swim::Config::lifeguard();
-    s.anomaly = AnomalyPlan::stressed(4);
-    s.run_length = sec(300);
-    reg.add(std::move(s));
-  }
-  {
-    Scenario s = base("fig2-total-false-positives",
-                      "Interval anomalies (C=8, D=16.384 s, I=4 ms) under "
-                      "the SWIM baseline; total FP events",
-                      "Fig. 2");
-    s.cluster_size = 128;
-    s.config = swim::Config::swim_baseline();
-    s.anomaly = AnomalyPlan::cycling(8, msec(16384), msec(4));
-    s.run_length = sec(120);
-    reg.add(std::move(s));
-  }
-  {
-    Scenario s = base("fig3-fp-at-healthy",
-                      "Same interval workload under full Lifeguard; FP- "
-                      "events at healthy members",
-                      "Fig. 3");
-    s.cluster_size = 128;
-    s.config = swim::Config::lifeguard();
-    s.anomaly = AnomalyPlan::cycling(8, msec(16384), msec(4));
-    s.run_length = sec(120);
-    reg.add(std::move(s));
-  }
-  {
-    Scenario s = base("table4-false-positives",
-                      "Representative interval grid point (C=4, D=8 s, "
-                      "I=64 ms) for the FP aggregation",
-                      "Table IV");
-    s.cluster_size = 128;
-    s.config = swim::Config::lifeguard();
-    s.anomaly = AnomalyPlan::cycling(4, sec(8), msec(64));
-    s.run_length = sec(120);
-    reg.add(std::move(s));
-  }
-  {
-    Scenario s = base("table5-latency",
-                      "Threshold anomaly (C=4, D=16 s): first-detection and "
-                      "full-dissemination latency",
-                      "Table V");
-    s.cluster_size = 128;
-    s.config = swim::Config::lifeguard();
-    s.anomaly = AnomalyPlan::threshold(4, sec(16));
-    s.run_length = sec(70);
-    reg.add(std::move(s));
-  }
-  {
-    Scenario s = base("table6-message-load",
-                      "Low-intensity interval workload; compound message "
-                      "and byte counts",
-                      "Table VI");
-    s.cluster_size = 128;
-    s.config = swim::Config::lifeguard();
-    s.anomaly = AnomalyPlan::cycling(4, sec(8), msec(64));
-    s.run_length = sec(120);
-    s.seed = 2;
-    reg.add(std::move(s));
-  }
-  {
-    Scenario s = base("table7-alpha-beta",
-                      "Aggressive suspicion tuning (alpha=2, beta=6): the "
-                      "latency/FP trade-off point",
-                      "Table VII");
-    s.cluster_size = 128;
-    swim::Config cfg = swim::Config::lifeguard();
-    cfg.suspicion_alpha = 2.0;
-    cfg.suspicion_beta = 6.0;
-    s.config = cfg;
-    s.anomaly = AnomalyPlan::threshold(4, sec(16));
-    s.run_length = sec(70);
-    reg.add(std::move(s));
-  }
-
-  // ---- beyond the paper ----
-  {
-    Scenario s = base("steady-state",
-                      "Healthy 64-member cluster for one minute; baseline "
-                      "message load and zero-FP check",
-                      "");
-    s.cluster_size = 64;
-    s.config = swim::Config::lifeguard();
-    s.anomaly = AnomalyPlan::none();
-    s.run_length = sec(60);
-    reg.add(std::move(s));
-  }
-  {
-    Scenario s = base("partition-split-heal",
-                      "8 of 16 members split off for 60 s, then the "
-                      "partition heals and the views re-merge",
-                      "");
-    s.cluster_size = 16;
-    s.config = swim::Config::lifeguard();
-    s.anomaly = AnomalyPlan::partition(8, sec(60));
-    s.run_length = sec(150);
-    reg.add(std::move(s));
-  }
-  {
-    Scenario s = base("flapping-overload",
-                      "4 of 64 members flap with unsynchronized 16 s stalls "
-                      "and 5 ms open windows for two minutes",
-                      "");
-    s.cluster_size = 64;
-    s.config = swim::Config::lifeguard();
-    s.anomaly = AnomalyPlan::flapping(4, sec(16), msec(5));
-    s.run_length = sec(120);
-    reg.add(std::move(s));
-  }
-  {
-    Scenario s = base("churn-rolling-restarts",
-                      "4 of 32 members crash and rejoin in staggered "
-                      "20 s-down / 40 s-up cycles for two minutes",
-                      "");
-    s.cluster_size = 32;
-    s.config = swim::Config::lifeguard();
-    s.anomaly = AnomalyPlan::churn(4, sec(20), sec(40));
-    s.run_length = sec(120);
-    reg.add(std::move(s));
-  }
-
-  // ---- composed fault timelines (inexpressible as a single AnomalyPlan) --
-  {
-    Scenario s = base("partition-under-stress",
-                      "2 members CPU-starved the whole minute while 5 others "
-                      "split off mid-run and re-merge 20 s later",
-                      "");
-    s.cluster_size = 16;
-    s.config = swim::Config::lifeguard();
-    s.timeline.add(sec(0), sec(60), fault::Fault::stressed(),
-                   fault::VictimSelector::uniform(2));
-    s.timeline.add(sec(15), sec(20), fault::Fault::partition(),
-                   fault::VictimSelector::uniform(5));
-    s.run_length = sec(60);
-    reg.add(std::move(s));
-  }
-  {
-    Scenario s = base("lossy-flapping",
-                      "3 members flap (8 s stalls, 100 ms windows) while a "
-                      "quarter of the cluster sits behind 30% lossy links",
-                      "");
-    s.cluster_size = 32;
-    s.config = swim::Config::lifeguard();
-    s.timeline.add(sec(0), sec(90), fault::Fault::flapping(sec(8), msec(100)),
-                   fault::VictimSelector::uniform(3));
-    s.timeline.add(sec(0), sec(90), fault::Fault::link_loss(0.3, 0.3),
-                   fault::VictimSelector::fraction_of(0.25));
-    s.run_length = sec(90);
-    reg.add(std::move(s));
-  }
-  {
-    Scenario s = base("churn-after-heal",
-                      "a 5-member island splits off for 30 s; 10 s after the "
-                      "heal, 3 members churn in 10 s-down / 20 s-up cycles",
-                      "");
-    s.cluster_size = 16;
-    s.config = swim::Config::lifeguard();
-    s.timeline.add(sec(0), sec(30), fault::Fault::partition(),
-                   fault::VictimSelector::uniform(5));
-    s.timeline.add(sec(40), sec(50), fault::Fault::churn(sec(10), sec(20)),
-                   fault::VictimSelector::uniform(3));
-    s.run_length = sec(100);
-    reg.add(std::move(s));
-  }
-  {
-    Scenario s = base("packet-chaos",
-                      "half the cluster behind jittery +30 ms links while 6 "
-                      "members duplicate and 6 reorder their UDP traffic",
-                      "");
-    s.cluster_size = 24;
-    s.config = swim::Config::lifeguard();
-    s.timeline.add(sec(0), sec(60), fault::Fault::latency(msec(30), msec(20)),
-                   fault::VictimSelector::fraction_of(0.5));
-    s.timeline.add(sec(10), sec(40), fault::Fault::duplicate(0.25),
-                   fault::VictimSelector::uniform(6));
-    s.timeline.add(sec(20), sec(30), fault::Fault::reorder(0.3, msec(200)),
-                   fault::VictimSelector::uniform(6));
-    s.run_length = sec(60);
-    reg.add(std::move(s));
-  }
-
-  // ---- membership-backend scenarios (src/membership) ----
-  // The registry's checked entries for the non-swim backends: the central
-  // heartbeat detector under member and coordinator failures, and the static
-  // no-detection control. All run the full invariant suite — the SWIM-only
-  // invariants auto-disable, the generic ones (legal-transitions,
-  // convergence, no-send-from-crashed, partition-containment) stay on.
-  {
-    Scenario s = base("central-crash-detect",
-                      "central heartbeat detector: 3 of 16 members blocked "
-                      "for 20 s; the coordinator declares them failed and "
-                      "re-admits them on recovery",
-                      "");
-    s.cluster_size = 16;
-    s.config = swim::Config::lifeguard();
-    s.membership = "central";
-    s.timeline.add(sec(10), sec(20), fault::Fault::block(),
-                   fault::VictimSelector::nodes({3, 7, 11}));
-    s.run_length = sec(60);
-    s.checks = check::Spec::all();
-    reg.add(std::move(s));
-  }
-  {
-    Scenario s = base("central-coordinator-crash",
-                      "the central detector's single point of failure: the "
-                      "coordinator (node 0) blocked for 15 s; members reach "
-                      "their miss threshold and declare it failed",
-                      "");
-    s.cluster_size = 16;
-    s.config = swim::Config::lifeguard();
-    s.membership = "central:miss=4";
-    s.timeline.add(sec(10), sec(15), fault::Fault::block(),
-                   fault::VictimSelector::nodes({0}));
-    s.run_length = sec(60);
-    s.checks = check::Spec::all();
-    reg.add(std::move(s));
-  }
-  {
-    Scenario s = base("static-floor",
-                      "static membership control: 2 members blocked for 10 s "
-                      "with no detector running — the zero-FP, zero-message "
-                      "noise floor for backend comparisons",
-                      "");
-    s.cluster_size = 16;
-    s.config = swim::Config::lifeguard();
-    s.membership = "static";
-    s.timeline.add(sec(10), sec(10), fault::Fault::block(),
-                   fault::VictimSelector::nodes({5, 9}));
-    s.run_length = sec(30);
-    s.checks = check::Spec::all();
-    reg.add(std::move(s));
-  }
-  // ---- the live tier (src/live): real processes, real UDP on loopback ----
-  // Every scenario here runs on both backends (the registry validates them
-  // like any other entry, and the parity smoke test exercises that), but
-  // their shape is chosen for wall-clock viability: small clusters, fast
-  // protocol intervals, explicit victim sets so sim and live agree on who is
-  // faulted, and a generous timeout_slack because real schedulers jitter.
-  auto live_config = [] {
-    swim::Config c = swim::Config::lifeguard();
-    c.probe_interval = msec(200);
-    c.probe_timeout = msec(100);
-    c.gossip_interval = msec(100);
-    c.push_pull_interval = sec(5);
-    c.reconnect_interval = sec(3);
-    return c;
-  };
-  auto live_checks = [] {
-    check::Spec spec = check::Spec::all();
-    spec.timeout_slack = 0.25;
-    spec.convergence_settle = sec(6);
-    return spec;
-  };
-  {
-    Scenario s = base("live-healthy",
-                      "8 real processes over loopback UDP, no faults: join "
-                      "storm, convergence and steady gossip under a wall "
-                      "clock",
-                      "");
-    s.cluster_size = 8;
-    s.config = live_config();
-    s.anomaly = AnomalyPlan::none();
-    s.quiesce = sec(5);
-    s.run_length = sec(8);
-    s.checks = live_checks();
-    reg.add(std::move(s));
-  }
-  {
-    Scenario s = base("live-lossy",
-                      "8 live members; two sit behind 25% lossy links (both "
-                      "directions) applied by the userspace netem shim",
-                      "");
-    s.cluster_size = 8;
-    s.config = live_config();
-    s.timeline.add(sec(0), sec(10), fault::Fault::link_loss(0.25, 0.25),
-                   fault::VictimSelector::nodes({2, 5}));
-    s.quiesce = sec(5);
-    s.run_length = sec(10);
-    s.checks = live_checks();
-    reg.add(std::move(s));
-  }
-  {
-    Scenario s = base("live-crash-restart",
-                      "a live member is SIGKILLed and respawned on its old "
-                      "port in 4 s-down / 3 s-up cycles",
-                      "");
-    s.cluster_size = 8;
-    s.config = live_config();
-    // Cycle (4s + 3s) <= the 8s span, so the random phase cannot push the
-    // first kill past the span — every run really crashes the victim.
-    s.timeline.add(sec(0), sec(8), fault::Fault::churn(sec(4), sec(3)),
-                   fault::VictimSelector::nodes({3}));
-    s.quiesce = sec(5);
-    s.run_length = sec(12);
-    s.checks = live_checks();
-    reg.add(std::move(s));
-  }
-  {
-    Scenario s = base("live-partition-under-stress",
-                      "one live member SIGSTOPped in random bursts while a "
-                      "3-member island is blocked off for 4 s mid-run",
-                      "");
-    s.cluster_size = 10;
-    s.config = live_config();
-    {
-      sim::StressParams stress;
-      stress.block_min = msec(500);
-      stress.block_max = sec(2);
-      stress.run_min = msec(100);
-      stress.run_max = msec(500);
-      s.timeline.add(sec(0), sec(8), fault::Fault::stressed(stress),
-                     fault::VictimSelector::nodes({7}));
-    }
-    s.timeline.add(sec(2), sec(4), fault::Fault::partition(),
-                   fault::VictimSelector::island(3, 4));
-    s.quiesce = sec(5);
-    s.run_length = sec(10);
-    s.checks = live_checks();
-    reg.add(std::move(s));
-  }
-
-  // ---- the large-cluster tier (enabled by the perf:: optimization pass) --
-  // Protocol invariants are on by default for this tier: at these sizes the
-  // interesting failures are emergent (join storms, dissemination backlogs),
-  // and a metric assertion alone would miss a mid-run safety violation.
-  // Budget note: these run minutes of wall time on one core (the 4k
-  // scenario tens of minutes) — CI runs them out of band, not in ctest.
-  {
-    Scenario s = base("big-healthy-2k",
-                      "2000-member healthy cluster: the large-cluster "
-                      "baseline (join storm, convergence, steady gossip)",
-                      "");
-    s.cluster_size = 2000;
-    s.config = swim::Config::lifeguard();
-    s.anomaly = AnomalyPlan::none();
-    s.quiesce = sec(30);
-    s.run_length = sec(20);
-    s.checks = check::Spec::all();
-    reg.add(std::move(s));
-  }
-  {
-    Scenario s = base("big-flapping-1k",
-                      "8 of 1000 members flap with 25 s stalls and 50 ms "
-                      "open windows (past the n=1000 suspicion floor of "
-                      "alpha*log10(n) ~ 15 s, so victims are detected)",
-                      "");
-    s.cluster_size = 1000;
-    s.config = swim::Config::lifeguard();
-    s.anomaly = AnomalyPlan::flapping(8, sec(25), msec(50));
-    s.quiesce = sec(25);
-    s.run_length = sec(50);
-    s.checks = check::Spec::all();
-    reg.add(std::move(s));
-  }
-  {
-    Scenario s = base("big-churn-2k",
-                      "4 of 2000 members crash and rejoin in 15 s-down / "
-                      "30 s-up cycles",
-                      "");
-    s.cluster_size = 2000;
-    s.config = swim::Config::lifeguard();
-    s.anomaly = AnomalyPlan::churn(4, sec(15), sec(30));
-    s.quiesce = sec(30);
-    s.run_length = sec(45);
-    s.checks = check::Spec::all();
-    reg.add(std::move(s));
-  }
-  {
-    Scenario s = base("big-partition-4k",
-                      "a 48-member island splits from a 4000-member cluster "
-                      "for 30 s, then heals",
-                      "");
-    s.cluster_size = 4000;
-    s.config = swim::Config::lifeguard();
-    s.anomaly = AnomalyPlan::partition(48, sec(30));
-    s.quiesce = sec(40);
-    s.run_length = sec(60);
-    s.checks = check::Spec::all();
-    reg.add(std::move(s));
-  }
-
-  return reg;
-}
-
-}  // namespace
-
-const ScenarioRegistry& ScenarioRegistry::builtin() {
-  // Meyers singleton: C++11 guarantees race-free one-time initialization,
-  // and the registry is immutable afterwards — safe to call from concurrent
-  // campaign workers.
-  static const ScenarioRegistry reg = make_builtin();
-  return reg;
 }
 
 }  // namespace lifeguard::harness

@@ -212,7 +212,7 @@ std::string ScenarioFile::to_json(const Scenario& s) {
   os << "  \"rbuf\": " << s.recv_buffer_bytes << ",\n";
   os << "  \"membership\": \"" << json_escape(s.membership) << "\",\n";
   os << "  \"timeline\": "
-     << strings_block(check::timeline_specs(s.effective_timeline()), "  ")
+     << strings_block(check::timeline_specs(s.timeline), "  ")
      << ",\n";
   os << "  \"checked\": " << (s.checks.enabled ? "true" : "false") << ",\n";
   os << "  \"invariants\": " << strings_block(s.checks.invariants, "  ")

@@ -6,10 +6,10 @@
 // hand-tuned configs round-trip exactly), the fault timeline as `--fault`
 // grammar strings (check::entry_spec — the same rendering the trace header
 // uses), the membership backend spec, and the invariant-checking knobs.
-// ScenarioRegistry entries exported with save() and committed under
-// scenarios/*.json are the reviewable form of the catalog; scenario_runner
-// --scenario-file runs them on either backend without recompiling, and the
-// fuzzer can commit shrunk reproducers in the same format.
+// The committed scenarios/*.json files *are* the catalog:
+// ScenarioRegistry::builtin() embeds and loads them at build time, and
+// scenario_runner --scenario-file runs any file on either backend without
+// recompiling. The fuzzer commits shrunk reproducers in the same format.
 //
 // Loading is strict where it protects the user and lenient where it helps
 // them: unknown keys, malformed values, bad fault/membership specs and
@@ -18,11 +18,9 @@
 // except `type`, `version` and `name` is optional and defaults to the
 // Scenario{} value — a hand-authored file states only what it changes.
 //
-// Round-trip contract: save() writes the *effective* timeline (the
-// AnomalyPlan shim is rendered through its one-entry Timeline equivalent,
-// which replays bit-identically by the shim contract), so for every
-// registry scenario export -> load -> run reproduces the original run's
-// metrics and trace digest bit-for-bit. tests/scenariofile pins this.
+// Round-trip contract: for every catalog scenario, to_json reproduces the
+// committed file byte for byte and load -> run reproduces the pinned
+// metrics and trace digest. tests/scenariofile pins both.
 #pragma once
 
 #include <optional>
@@ -36,15 +34,14 @@ struct ScenarioFile {
   /// The committed-file format version this build reads and writes.
   static constexpr int kVersion = 1;
 
-  /// Pretty-printed JSON document for `s` (assumed valid — export callers
-  /// hold registry scenarios, which are validated on insertion).
+  /// Pretty-printed JSON document for `s` (assumed valid — callers hold
+  /// validated scenarios such as the fuzzer's shrunk reproducers).
   static std::string to_json(const Scenario& s);
 
   /// Parse + validate one scenario document. Returns std::nullopt and sets
   /// `error` (one actionable message; multiple validation defects are
   /// joined with "; ") on any malformed, unknown or out-of-range input.
-  /// The loaded scenario carries the file's timeline in Scenario::timeline
-  /// with an empty AnomalyPlan, and passes Scenario::validate().
+  /// The loaded scenario passes Scenario::validate().
   static std::optional<Scenario> from_json(const std::string& text,
                                            std::string& error);
 

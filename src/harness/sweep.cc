@@ -85,7 +85,7 @@ std::uint64_t run_seed(std::uint64_t base, int c, std::int64_t d_us,
 
 namespace {
 
-/// Adapts the legacy ProgressFn callback onto the Reporter interface.
+/// Adapts a ProgressFn callback onto the Reporter interface.
 class FnProgress : public Reporter {
  public:
   explicit FnProgress(const ProgressFn& fn) : fn_(fn) {}
@@ -101,34 +101,73 @@ int resolve_jobs(int jobs) {
   return jobs < 0 ? ReproOptions::from_env().jobs : jobs;
 }
 
+/// A grid's base scenario with one placeholder fault entry; the axes below
+/// fill in its victims and shape per grid point.
+Scenario sweep_base(const char* name, const swim::Config& cfg,
+                    const Grid& grid, Duration span, fault::Fault fault) {
+  Scenario s;
+  s.name = name;
+  s.cluster_size = grid.cluster_size;
+  s.quiesce = grid.quiesce;
+  s.config = cfg;
+  s.timeline.add(Duration{}, span, fault, fault::VictimSelector::uniform(1));
+  return s;
+}
+
+/// The concurrency axis C (salt = C): uniform victims of timeline entry 0.
+Axis victims_axis(const std::vector<int>& counts) {
+  std::vector<AxisPoint> points;
+  for (int c : counts) {
+    points.push_back({std::to_string(c), static_cast<std::uint64_t>(c),
+                      [c](Scenario& s) {
+                        s.timeline.entry(0).victims =
+                            fault::VictimSelector::uniform(c);
+                      }});
+  }
+  return Axis::custom("victims", std::move(points));
+}
+
+/// A D or I axis (salt = microseconds) writing `set` into timeline entry 0.
+Axis span_axis(std::string name, const std::vector<Duration>& values,
+               void (*set)(fault::TimelineEntry&, Duration)) {
+  std::vector<AxisPoint> points;
+  for (Duration d : values) {
+    points.push_back({std::to_string(d.us / 1000) + "ms",
+                      static_cast<std::uint64_t>(d.us),
+                      [d, set](Scenario& s) { set(s.timeline.entry(0), d); }});
+  }
+  return Axis::custom(std::move(name), std::move(points));
+}
+
 }  // namespace
 
 IntervalSweepResult sweep_interval(const swim::Config& cfg, const Grid& grid,
                                    std::uint64_t seed_base,
                                    const ProgressFn& progress, int jobs) {
   // The grid as a campaign: victims/duration/interval axes whose salts are
-  // exactly the legacy run_seed() coordinates, so per-trial seeds (and thus
-  // results) are bit-identical to the old sequential loop.
+  // exactly the run_seed() coordinates {c, d_us, i_us}. Each trial cycles
+  // D-blocked / I-open for the whole test length.
   Campaign camp;
   camp.name = "sweep-interval";
-  IntervalParams base;
-  base.base.cluster_size = grid.cluster_size;
-  base.base.quiesce = grid.quiesce;
-  base.base.config = cfg;
-  base.concurrent = 1;  // placeholder; the victims axis overwrites it
-  base.test_length = grid.test_length;
-  camp.base = to_scenario(base);
-  camp.base.name = "sweep-interval";
-  camp.axes = {Axis::victims(grid.concurrency), Axis::duration(grid.durations),
-               Axis::interval(grid.intervals)};
-  // Legacy semantics for c == 0: a healthy baseline whose end time still
-  // follows the cycle-aligned clock of its grid point (see to_scenario).
+  camp.base = sweep_base("sweep-interval", cfg, grid, grid.test_length,
+                         fault::Fault::interval_block(msec(1), msec(1)));
+  camp.base.run_length = grid.test_length;
+  camp.axes = {
+      victims_axis(grid.concurrency),
+      span_axis(
+          "duration", grid.durations,
+          [](fault::TimelineEntry& e, Duration d) { e.fault.period = d; }),
+      span_axis("interval", grid.intervals,
+                [](fault::TimelineEntry& e, Duration i) { e.fault.gap = i; })};
+  // C = 0 is a healthy baseline whose end time still follows the grid
+  // point's cycle-aligned clock, plus the interval drain of 1 s.
   camp.finalize = [test_length = grid.test_length](Scenario& s) {
-    if (s.anomaly.kind == AnomalyKind::kInterval && s.anomaly.victims == 0) {
-      const Duration d = s.anomaly.duration;
-      const Duration i = s.anomaly.interval;
-      s.anomaly = AnomalyPlan::none();
-      s.run_length = cycle_aligned_length(test_length, d, i) + sec(1);
+    const fault::TimelineEntry& e = s.timeline.entry(0);
+    if (e.victims.count == 0) {
+      s.run_length = fault::cycle_aligned_length(test_length, e.fault.period,
+                                                 e.fault.gap) +
+                     sec(1);
+      s.timeline = fault::Timeline{};
     }
   };
   camp.repetitions = grid.repetitions;
@@ -159,22 +198,20 @@ IntervalSweepResult sweep_interval(const swim::Config& cfg, const Grid& grid,
 ThresholdSweepResult sweep_threshold(const swim::Config& cfg, const Grid& grid,
                                      std::uint64_t seed_base,
                                      const ProgressFn& progress, int jobs) {
+  // One synchronized block of D per trial, observed for grid.observe.
   Campaign camp;
   camp.name = "sweep-threshold";
-  ThresholdParams base;
-  base.base.cluster_size = grid.cluster_size;
-  base.base.quiesce = grid.quiesce;
-  base.base.config = cfg;
-  base.concurrent = 1;  // placeholder; the victims axis overwrites it
-  base.observe = grid.observe;
-  camp.base = to_scenario(base);
-  camp.base.name = "sweep-threshold";
+  camp.base = sweep_base("sweep-threshold", cfg, grid, msec(1),
+                         fault::Fault::block());
+  camp.base.run_length = grid.observe;
   // The trailing single-point axis contributes nothing to the scenario but
-  // keeps the salt chain {c, d_us, 0} — the exact legacy
-  // run_seed(base, c, d_us, 0, rep) coordinates, so threshold trials stay
-  // bit-identical to the pre-campaign sequential loop.
-  camp.axes = {Axis::victims(grid.concurrency), Axis::duration(grid.durations),
-               Axis::custom("interval", {{"0ms", 0, {}}})};
+  // keeps the salt chain {c, d_us, 0} — the run_seed(base, c, d_us, 0, rep)
+  // coordinates.
+  camp.axes = {
+      victims_axis(grid.concurrency),
+      span_axis("duration", grid.durations,
+                [](fault::TimelineEntry& e, Duration d) { e.duration = d; }),
+      Axis::custom("interval", {{"0ms", 0, {}}})};
   camp.repetitions = grid.repetitions;
   camp.base_seed = seed_base;
   camp.jobs = resolve_jobs(jobs);

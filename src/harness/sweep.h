@@ -1,10 +1,12 @@
 // Parameter sweeps over the experiment grids (paper Tables II & III) and
 // their aggregation into the evaluation's tables and figures.
 //
-// Both sweeps are thin shims over the parallel Campaign engine (see
-// campaign.h): the grid becomes campaign axes, repetitions become trials,
-// and trials execute on a worker pool. Results are bit-identical at every
-// parallelism level.
+// Both sweeps run on the parallel Campaign engine (see campaign.h): the grid
+// becomes campaign axes over a one-entry fault timeline (interval: lock-step
+// D-blocked / I-open cycles for the test length, §V-D2; threshold: one
+// synchronized block of D, §V-D1), repetitions become trials, and trials
+// execute on a worker pool. Results are bit-identical at every parallelism
+// level.
 //
 // Scope control (environment):
 //   REPRO_FULL=1   use the paper's full grid (Tables II/III, 10 repetitions,
@@ -27,7 +29,7 @@
 #include <vector>
 
 #include "common/metrics.h"
-#include "harness/experiment.h"
+#include "harness/campaign.h"  // NamedConfig / table1_configs for the benches
 
 namespace lifeguard::harness {
 

@@ -179,7 +179,7 @@ class LiveRun {
   LiveRun(const harness::Scenario& s, const RunOptions& opts,
           const std::vector<check::TraceSink*>& sinks)
       : s_(s), opts_(opts), plan_rng_(s.seed ^ 0x11fe9ad5u) {
-    plan_ = compile_timeline(s.effective_timeline(), s.cluster_size,
+    plan_ = compile_timeline(s.timeline, s.cluster_size,
                              s.run_length, plan_rng_);
     metrics_ = std::make_unique<StreamMetrics>(s.cluster_size, plan_.victims);
     sinks_ = sinks;

@@ -195,8 +195,12 @@ std::optional<Message> decode(BufReader& r) {
       p.join = r.u8() != 0;
       p.from = r.str();
       p.from_addr = read_addr(r);
+      // Each snapshot takes at least 16 bytes (empty-name varint, address,
+      // incarnation, state), so a count the remaining bytes cannot hold is
+      // malformed — rejecting it bounds the reserve() by the datagram size.
+      constexpr std::uint64_t kMinSnapshotBytes = 1 + 6 + 8 + 1;
       const std::uint64_t n = r.varint();
-      if (!r.ok() || n > 1'000'000) return std::nullopt;
+      if (!r.ok() || n > r.remaining() / kMinSnapshotBytes) return std::nullopt;
       p.members.reserve(n);
       for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
         MemberSnapshot s;

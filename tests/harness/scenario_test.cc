@@ -1,5 +1,5 @@
-// Scenario API: validation messages, the built-in registry, the run()
-// engine, and parity between the legacy driver shims and run(Scenario).
+// Scenario API: validation messages, the built-in registry, and the run()
+// engine on the paper's experiment shapes (§V-D) as explicit timelines.
 #include "harness/scenario.h"
 
 #include <gtest/gtest.h>
@@ -8,7 +8,6 @@
 #include <set>
 #include <string>
 
-#include "harness/experiment.h"
 #include "membership/backend.h"
 
 namespace lifeguard::harness {
@@ -28,8 +27,24 @@ Scenario tiny_valid() {
   s.cluster_size = 8;
   s.quiesce = sec(10);
   s.config = swim::Config::lifeguard();
-  s.anomaly = AnomalyPlan::threshold(2, sec(16));
+  s.timeline.add(Duration{}, sec(16), fault::Fault::block(),
+                 fault::VictimSelector::uniform(2));
   s.run_length = sec(30);
+  return s;
+}
+
+/// One paper experiment shape (§V-D) as a one-entry timeline, on the
+/// Scenario defaults that model the paper's testbed (15 s quiesce, 1% loss).
+Scenario paper_shape(int nodes, swim::Config cfg, std::uint64_t seed,
+                     Duration run_length, Duration span, fault::Fault f,
+                     int victims) {
+  Scenario s;
+  s.name = "paper-shape";
+  s.cluster_size = nodes;
+  s.config = cfg;
+  s.seed = seed;
+  s.run_length = run_length;
+  s.timeline.add(Duration{}, span, f, fault::VictimSelector::uniform(victims));
   return s;
 }
 
@@ -52,39 +67,25 @@ TEST(ScenarioValidation, MissingNameAndBadSizeAreBothReported) {
 
 TEST(ScenarioValidation, VictimCountMustFitCluster) {
   Scenario s = tiny_valid();
-  s.anomaly.victims = 12;
-  EXPECT_TRUE(mentions(s.validate(), "must be <= cluster_size (8)"));
-  s.anomaly.victims = 0;
-  EXPECT_TRUE(mentions(s.validate(), "use AnomalyKind::kNone"));
-}
-
-TEST(ScenarioValidation, NoneKindRejectsVictims) {
-  Scenario s = tiny_valid();
-  s.anomaly = AnomalyPlan::none();
-  s.anomaly.victims = 3;
-  EXPECT_TRUE(mentions(s.validate(), "must be 0 for kind 'none'"));
+  s.timeline.entry(0).victims = fault::VictimSelector::uniform(12);
+  EXPECT_TRUE(mentions(s.validate(), "more than cluster_size (8)"));
+  s.timeline.entry(0).victims = fault::VictimSelector::uniform(0);
+  EXPECT_TRUE(mentions(s.validate(), "victims count must be >= 1"));
 }
 
 TEST(ScenarioValidation, CyclingKindsNeedPositiveSpans) {
   Scenario s = tiny_valid();
-  s.anomaly = AnomalyPlan::cycling(2, Duration{0}, Duration{0});
+  s.timeline.entry(0).fault =
+      fault::Fault::interval_block(Duration{0}, Duration{0});
   const auto errors = s.validate();
-  EXPECT_TRUE(mentions(errors, "anomaly.duration"));
-  EXPECT_TRUE(mentions(errors, "anomaly.interval"));
-  EXPECT_TRUE(mentions(errors, "blocked span D"));
-}
-
-TEST(ScenarioValidation, PartitionNeedsBothSidesAndInWindowHeal) {
-  Scenario s = tiny_valid();
-  s.anomaly = AnomalyPlan::partition(8, sec(10));
-  EXPECT_TRUE(mentions(s.validate(), "members on both sides"));
-  s.anomaly = AnomalyPlan::partition(4, sec(60));
-  EXPECT_TRUE(mentions(s.validate(), "must be <= run_length"));
+  EXPECT_TRUE(mentions(errors, "timeline[0] (interval)"));
+  EXPECT_TRUE(mentions(errors, "period D > 0 and gap I > 0"));
 }
 
 TEST(ScenarioValidation, ChurnReservesTheSeedNode) {
   Scenario s = tiny_valid();
-  s.anomaly = AnomalyPlan::churn(8, sec(10), sec(10));
+  s.timeline.entry(0).fault = fault::Fault::churn(sec(10), sec(10));
+  s.timeline.entry(0).victims = fault::VictimSelector::uniform(8);
   EXPECT_TRUE(mentions(s.validate(), "rejoin seed"));
 }
 
@@ -93,36 +94,17 @@ TEST(ScenarioValidation, StressRangesMustBeOrdered) {
   sim::StressParams sp;
   sp.block_min = sec(10);
   sp.block_max = sec(2);
-  s.anomaly = AnomalyPlan::stressed(2, sp);
+  s.timeline.entry(0).fault = fault::Fault::stressed(sp);
   EXPECT_TRUE(mentions(s.validate(), "block_min <= block_max"));
-}
-
-TEST(ScenarioValidation, AnomalyAndTimelineAreMutuallyExclusive) {
-  Scenario s = tiny_valid();  // carries a threshold AnomalyPlan
-  s.timeline.add(sec(0), sec(5), fault::Fault::block(),
-                 fault::VictimSelector::uniform(1));
-  EXPECT_TRUE(mentions(s.validate(), "sets both anomaly"));
-  s.anomaly = AnomalyPlan::none();
-  EXPECT_TRUE(s.validate().empty());
 }
 
 TEST(ScenarioValidation, TimelineDefectsAreSurfaced) {
   Scenario s = tiny_valid();
-  s.anomaly = AnomalyPlan::none();
+  s.timeline = fault::Timeline{};
   s.timeline.add(sec(0), sec(5), fault::Fault::partition(),
                  fault::VictimSelector::uniform(8));  // whole 8-node cluster
   EXPECT_TRUE(mentions(s.validate(), "timeline[0]"));
   EXPECT_TRUE(mentions(s.validate(), "both sides"));
-}
-
-TEST(ScenarioEffectiveTimeline, ShimProducesOneEntryPerPlan) {
-  Scenario s = tiny_valid();
-  const fault::Timeline tl = s.effective_timeline();
-  ASSERT_EQ(tl.size(), 1u);
-  EXPECT_EQ(tl.entries()[0].fault.kind, fault::FaultKind::kBlock);
-  EXPECT_EQ(tl.entries()[0].duration, sec(16));
-  s.anomaly = AnomalyPlan::none();
-  EXPECT_TRUE(s.effective_timeline().empty());
 }
 
 TEST(ScenarioValidation, NetworkLossMustBeProbability) {
@@ -165,16 +147,18 @@ TEST(ScenarioRegistry, BuiltinCatalogCoversPaperAndNewKinds) {
   EXPECT_GE(reg.find("partition-under-stress")->timeline.size(), 2u);
   EXPECT_GE(reg.find("churn-after-heal")->timeline.size(), 2u);
   EXPECT_GE(reg.find("packet-chaos")->timeline.size(), 3u);
-  std::set<AnomalyKind> kinds;
+  std::set<fault::FaultKind> kinds;
   for (const auto& s : reg.all()) {
     EXPECT_TRUE(s.validate().empty()) << s.name;
-    kinds.insert(s.anomaly.kind);
+    for (const auto& e : s.timeline.entries()) kinds.insert(e.fault.kind);
   }
-  // All paper kinds plus the three post-paper kinds.
-  EXPECT_GE(kinds.size(), 6u);
-  EXPECT_TRUE(kinds.contains(AnomalyKind::kPartition));
-  EXPECT_TRUE(kinds.contains(AnomalyKind::kFlapping));
-  EXPECT_TRUE(kinds.contains(AnomalyKind::kChurn));
+  // All paper kinds plus the three post-paper process-level kinds.
+  for (fault::FaultKind k :
+       {fault::FaultKind::kBlock, fault::FaultKind::kIntervalBlock,
+        fault::FaultKind::kStress, fault::FaultKind::kPartition,
+        fault::FaultKind::kFlapping, fault::FaultKind::kChurn}) {
+    EXPECT_TRUE(kinds.contains(k)) << fault::fault_kind_name(k);
+  }
 }
 
 TEST(ScenarioRegistry, RejectsDuplicatesAndInvalidEntries) {
@@ -204,14 +188,16 @@ TEST(ScenarioRegistry, FindAndNamesAgree) {
 TEST(ScenarioEngine, EveryBuiltinScenarioRunsAtTinyScale) {
   for (const Scenario& original : ScenarioRegistry::builtin().all()) {
     Scenario s = original;
-    // Shrink to seconds of virtual time while keeping the anomaly shape.
+    // Shrink to seconds of virtual time while keeping the fault shape.
     s.cluster_size = std::min(s.cluster_size, 12);
-    s.anomaly.victims = std::min(s.anomaly.victims, 2);
     s.quiesce = sec(10);
     s.run_length = std::min(s.run_length, sec(40));
-    if (s.anomaly.kind == AnomalyKind::kPartition) {
-      s.anomaly.duration = std::min(s.anomaly.duration, sec(20));
-      s.anomaly.victims = 4;  // keep a real island out of 12
+    for (std::size_t i = 0; i < s.timeline.size(); ++i) {
+      fault::TimelineEntry& e = s.timeline.entry(i);
+      e.duration = std::min(e.duration, sec(40));
+      if (e.victims.mode == fault::VictimSelector::Mode::kUniform) {
+        e.victims.count = std::min(e.victims.count, 2);
+      }
     }
     ASSERT_TRUE(s.validate().empty()) << s.name;
 
@@ -219,9 +205,7 @@ TEST(ScenarioEngine, EveryBuiltinScenarioRunsAtTinyScale) {
     EXPECT_EQ(r.scenario_name, s.name);
     EXPECT_EQ(r.cluster_size, s.cluster_size) << s.name;
     if (s.timeline.empty()) {
-      EXPECT_EQ(r.victims.size(),
-                static_cast<std::size_t>(s.anomaly.victims))
-          << s.name;
+      EXPECT_TRUE(r.victims.empty()) << s.name;
     } else {
       // Composed scenarios: victims are the union across timeline entries.
       EXPECT_FALSE(r.victims.empty()) << s.name;
@@ -259,7 +243,8 @@ TEST(ScenarioEngine, ChurnVictimsRejoinByTheEnd) {
   s.cluster_size = 10;
   s.quiesce = sec(10);
   s.config = swim::Config::lifeguard();
-  s.anomaly = AnomalyPlan::churn(2, sec(15), sec(25));
+  s.timeline.add(Duration{}, sec(80), fault::Fault::churn(sec(15), sec(25)),
+                 fault::VictimSelector::uniform(2));
   s.run_length = sec(80);
   s.seed = 51;
   const RunResult r = run(s);
@@ -271,69 +256,65 @@ TEST(ScenarioEngine, ChurnVictimsRejoinByTheEnd) {
 }
 
 // ---------------------------------------------------------------------------
-// Legacy shims: identical results to the declarative path
+// The paper's experiment shapes produce sane, reproducible measurements
 
-TEST(LegacyShims, ThresholdMatchesScenarioRun) {
-  ThresholdParams p;
-  p.base.cluster_size = 32;
-  p.base.config = swim::Config::swim_baseline();
-  p.base.seed = 401;
-  p.concurrent = 3;
-  p.duration = msec(32768);
-  p.observe = sec(50);
-  const RunResult via_shim = run_threshold(p);
-  const RunResult via_scenario = run(to_scenario(p));
-  EXPECT_EQ(via_shim.victims, via_scenario.victims);
-  EXPECT_EQ(via_shim.fp_events, via_scenario.fp_events);
-  EXPECT_EQ(via_shim.first_detect, via_scenario.first_detect);
-  EXPECT_EQ(via_shim.full_dissem, via_scenario.full_dissem);
-  EXPECT_EQ(via_shim.msgs_sent, via_scenario.msgs_sent);
-  EXPECT_EQ(via_shim.bytes_sent, via_scenario.bytes_sent);
+TEST(Experiment, ThresholdDetectsLongAnomalies) {
+  const RunResult r =
+      run(paper_shape(64, swim::Config::swim_baseline(), 301, sec(60),
+                      msec(32768), fault::Fault::block(), 4));
+  ASSERT_EQ(r.victims.size(), 4u);
+  // All four victims detected; latency ≈ probe (1-2 s) + timeout
+  // (5·log10(64) ≈ 9 s).
+  ASSERT_EQ(r.first_detect.size(), 4u);
+  for (double t : r.first_detect) {
+    EXPECT_GT(t, 8.0);
+    EXPECT_LT(t, 20.0);
+  }
+  // Dissemination completes shortly after detection.
+  ASSERT_FALSE(r.full_dissem.empty());
+  for (std::size_t i = 0; i < r.full_dissem.size(); ++i) {
+    EXPECT_GE(r.full_dissem[i], r.first_detect[i] - 1e-9);
+  }
 }
 
-TEST(LegacyShims, IntervalMatchesScenarioRun) {
-  IntervalParams p;
-  p.base.cluster_size = 32;
-  p.base.config = swim::Config::lifeguard();
-  p.base.seed = 403;
-  p.concurrent = 4;
-  p.duration = msec(8192);
-  p.interval = msec(128);
-  p.test_length = sec(40);
-  const RunResult via_shim = run_interval(p);
-  const RunResult via_scenario = run(to_scenario(p));
-  EXPECT_EQ(via_shim.victims, via_scenario.victims);
-  EXPECT_EQ(via_shim.fp_events, via_scenario.fp_events);
-  EXPECT_EQ(via_shim.msgs_sent, via_scenario.msgs_sent);
-  EXPECT_EQ(via_shim.bytes_sent, via_scenario.bytes_sent);
-}
-
-TEST(LegacyShims, StressMatchesScenarioRun) {
-  StressParams p;
-  p.base.cluster_size = 24;
-  p.base.config = swim::Config::lifeguard();
-  p.base.seed = 405;
-  p.stressed = 2;
-  p.test_length = sec(40);
-  const RunResult via_shim = run_stress(p);
-  const RunResult via_scenario = run(to_scenario(p));
-  EXPECT_EQ(via_shim.victims, via_scenario.victims);
-  EXPECT_EQ(via_shim.fp_events, via_scenario.fp_events);
-  EXPECT_EQ(via_shim.msgs_sent, via_scenario.msgs_sent);
-}
-
-TEST(LegacyShims, IntervalWithZeroVictimsIsAHealthyBaseline) {
-  IntervalParams p;
-  p.base.cluster_size = 16;
-  p.base.config = swim::Config::swim_baseline();
-  p.base.seed = 407;
-  p.concurrent = 0;
-  p.test_length = sec(30);
-  const Scenario s = to_scenario(p);
-  EXPECT_EQ(s.anomaly.kind, AnomalyKind::kNone);
-  const RunResult r = run_interval(p);
+TEST(Experiment, ThresholdShortAnomalyYieldsNoDetections) {
+  // D = 128 ms, far below the suspicion timeout.
+  const RunResult r =
+      run(paper_shape(64, swim::Config::swim_baseline(), 303, sec(40),
+                      msec(128), fault::Fault::block(), 4));
+  EXPECT_TRUE(r.first_detect.empty());
   EXPECT_EQ(r.fp_events, 0);
-  EXPECT_TRUE(r.victims.empty());
+}
+
+TEST(Experiment, ReproducibleForSameSeed) {
+  const Scenario s = paper_shape(
+      48, swim::Config::swim_baseline(), 305, sec(60), sec(60),
+      fault::Fault::interval_block(msec(16384), msec(4)), 8);
+  const RunResult a = run(s);
+  const RunResult b = run(s);
+  EXPECT_EQ(a.fp_events, b.fp_events);
+  EXPECT_EQ(a.msgs_sent, b.msgs_sent);
+  EXPECT_EQ(a.bytes_sent, b.bytes_sent);
+  EXPECT_EQ(a.victims, b.victims);
+}
+
+TEST(Experiment, VictimCountMatchesRequest) {
+  const RunResult r = run(paper_shape(
+      32, swim::Config::lifeguard(), 307, sec(20), sec(20),
+      fault::Fault::interval_block(msec(512), msec(256)), 5));
+  EXPECT_EQ(r.victims.size(), 5u);
+  std::set<int> distinct(r.victims.begin(), r.victims.end());
+  EXPECT_EQ(distinct.size(), 5u);
+  EXPECT_GT(r.msgs_sent, 0);
+  EXPECT_GT(r.bytes_sent, 0);
+}
+
+TEST(Experiment, StressRunsAndReportsLoad) {
+  const RunResult r =
+      run(paper_shape(32, swim::Config::lifeguard(), 309, sec(60), sec(60),
+                      fault::Fault::stressed(), 3));
+  EXPECT_EQ(r.victims.size(), 3u);
+  EXPECT_GT(r.msgs_sent, 0);
 }
 
 }  // namespace

@@ -7,10 +7,14 @@
 // the sweep below pins entry_spec -> parse -> re-emit string equality for
 // the full cross product. On top of that, ScenarioFile::to_json must be a
 // fixpoint under load: to_json(from_json(to_json(s))) == to_json(s) for
-// every registry scenario and for hand-tuned ("Custom") configurations.
+// every catalog scenario and for hand-tuned ("Custom") configurations, and
+// every committed catalog file must already be in that canonical form.
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "check/trace.h"
@@ -19,6 +23,11 @@
 #include "harness/scenariofile.h"
 
 namespace lifeguard::harness {
+
+// The embedded catalog files (generated at build time; see CMakeLists.txt).
+std::span<const std::pair<std::string_view, std::string_view>>
+embedded_scenario_files();
+
 namespace {
 
 using fault::Fault;
@@ -86,14 +95,25 @@ TEST(ScenarioFileRoundTrip, EveryRegistryScenarioIsAToJsonFixpoint) {
     ASSERT_TRUE(loaded.has_value()) << s.name << ": " << error;
     EXPECT_EQ(ScenarioFile::to_json(*loaded), doc)
         << s.name << " did not round-trip";
-    // The loaded scenario carries the timeline explicitly (the AnomalyPlan
-    // shim was rendered through its effective timeline), and stays valid.
     EXPECT_TRUE(loaded->validate().empty()) << s.name;
     EXPECT_EQ(loaded->name, s.name);
     EXPECT_EQ(loaded->seed, s.seed);
     EXPECT_EQ(loaded->cluster_size, s.cluster_size);
     EXPECT_EQ(loaded->membership, s.membership);
     EXPECT_TRUE(loaded->config == s.config) << s.name;
+  }
+}
+
+TEST(ScenarioFileRoundTrip, EveryCatalogFileIsCanonical) {
+  const auto files = embedded_scenario_files();
+  ASSERT_EQ(files.size(), ScenarioRegistry::builtin().all().size());
+  for (const auto& [file, text] : files) {
+    std::string error;
+    const auto s = ScenarioFile::from_json(std::string(text), error);
+    ASSERT_TRUE(s.has_value()) << file << ": " << error;
+    EXPECT_EQ(ScenarioFile::filename(*s), file);
+    EXPECT_EQ(ScenarioFile::to_json(*s), text)
+        << file << " is not in canonical to_json form";
   }
 }
 

@@ -1,14 +1,16 @@
 #!/usr/bin/env bash
-# Re-record the committed scenario files and their baseline metric bands.
+# Re-record the catalog's baseline metric bands.
 #
 #   tools/record-baselines.sh [BUILD_DIR] [--check]
 #
-# Re-exports scenarios/*.json from ScenarioRegistry::builtin() and re-runs
-# the non-big registry tier to re-derive scenarios/baselines.json (band
-# policy in docs/scenario-files.md). Run it after an intentional behavior
-# change, review the diff, and commit it alongside the change. Both
-# artifacts are deterministic — on an unchanged tree this script is a
-# no-op, which is exactly what --check (the CI freshness gate) asserts.
+# The scenarios/*.json files are the catalog itself (edit one and rebuild;
+# see docs/scenario-files.md). The one derived artifact is
+# scenarios/baselines.json: this script re-runs the non-big catalog tier to
+# re-derive it (band policy in docs/scenario-files.md) and validates every
+# file under scenarios/. Run it after an intentional behavior change, review
+# the diff, and commit it alongside the change. The bands are deterministic
+# — on an unchanged tree this script is a no-op, which is exactly what
+# --check (the CI freshness gate) asserts.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -25,26 +27,24 @@ if [[ ! -x "$runner" ]]; then
   exit 2
 fi
 
-target="$repo_root/scenarios"
+target="$repo_root/scenarios/baselines.json"
 out="$target"
 if [[ "$check_mode" == 1 ]]; then
-  out="$(mktemp -d)"
-  trap 'rm -rf "$out"' EXIT
+  tmp="$(mktemp -d)"
+  trap 'rm -rf "$tmp"' EXIT
+  out="$tmp/baselines.json"
 fi
 
-"$runner" --export-scenarios "$out"
-"$runner" --record-baselines "$out/baselines.json"
-"$runner" --validate-scenarios "$out"
+"$runner" --record-baselines "$out"
+"$runner" --validate-scenarios "$repo_root/scenarios"
 
 if [[ "$check_mode" == 1 ]]; then
-  # scenarios/fuzz-corpus is the fuzzer's committed corpus — regenerated by
-  # scenario_runner --fuzz (see docs/fuzzing.md), not by this script.
-  if ! diff -ur --exclude=fuzz-corpus "$target" "$out"; then
+  if ! diff -u "$target" "$out"; then
     echo "" >&2
-    echo "scenarios/ is stale — regenerate with tools/record-baselines.sh" >&2
+    echo "scenarios/baselines.json is stale — regenerate with tools/record-baselines.sh" >&2
     exit 1
   fi
-  echo "scenarios/ is up to date"
+  echo "scenarios/baselines.json is up to date"
 else
-  echo "wrote $target/"
+  echo "wrote $target"
 fi
