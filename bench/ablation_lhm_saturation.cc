@@ -7,7 +7,7 @@ using namespace lifeguard;
 using namespace lifeguard::harness;
 
 int main() {
-  const auto opt = ReproOptions::from_env();
+  const auto opt = bench::repro_options();
   bench::print_banner("Ablation — LHM saturation limit S",
                       "design choice from paper §IV-A / §VII (S defaults to 8)",
                       opt);

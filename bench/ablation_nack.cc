@@ -8,7 +8,7 @@ using namespace lifeguard;
 using namespace lifeguard::harness;
 
 int main() {
-  const auto opt = ReproOptions::from_env();
+  const auto opt = bench::repro_options();
   bench::print_banner("Ablation — LHA-Probe with and without nack",
                       "design choice from paper §IV-A (footnote 5)", opt);
   Grid ig = interval_grid(opt);

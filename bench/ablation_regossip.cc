@@ -8,7 +8,7 @@ using namespace lifeguard;
 using namespace lifeguard::harness;
 
 int main() {
-  const auto opt = ReproOptions::from_env();
+  const auto opt = bench::repro_options();
   bench::print_banner("Ablation — LHA-Suspicion re-gossip factor K",
                       "design choice from paper §IV-B (K defaults to 3)",
                       opt);

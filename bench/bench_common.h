@@ -2,11 +2,24 @@
 #pragma once
 
 #include <cstdio>
+#include <cstdlib>
+#include <stdexcept>
 #include <string>
 
 #include "harness/sweep.h"
 
 namespace lifeguard::bench {
+
+/// ReproOptions::from_env(), or exit 2 with the variable named on stderr
+/// when a REPRO_* value is malformed.
+inline harness::ReproOptions repro_options() {
+  try {
+    return harness::ReproOptions::from_env();
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    std::exit(2);
+  }
+}
 
 inline void print_banner(const char* what, const char* paper_ref,
                          const harness::ReproOptions& opt) {

@@ -19,7 +19,7 @@ using namespace lifeguard;
 using namespace lifeguard::harness;
 
 int main() {
-  const auto opt = ReproOptions::from_env();
+  const auto opt = bench::repro_options();
   bench::print_banner("Figure 1 — False positives from CPU exhaustion",
                       "Dadgar et al., DSN'18, Fig. 1", opt);
 

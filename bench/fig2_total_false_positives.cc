@@ -24,7 +24,7 @@ Grid figure_grid(const ReproOptions& opt) {
 }  // namespace
 
 int main() {
-  const auto opt = ReproOptions::from_env();
+  const auto opt = bench::repro_options();
   bench::print_banner("Figure 2 — Total false positives vs concurrency",
                       "Dadgar et al., DSN'18, Fig. 2 (alpha=5, beta=6)", opt);
   const Grid grid = figure_grid(opt);

@@ -21,7 +21,7 @@ Grid figure_grid(const ReproOptions& opt) {
 }  // namespace
 
 int main() {
-  const auto opt = ReproOptions::from_env();
+  const auto opt = bench::repro_options();
   bench::print_banner(
       "Figure 3 — False positives at healthy members vs concurrency",
       "Dadgar et al., DSN'18, Fig. 3 (alpha=5, beta=6)", opt);

@@ -7,7 +7,7 @@ using namespace lifeguard;
 using namespace lifeguard::harness;
 
 int main() {
-  const auto opt = ReproOptions::from_env();
+  const auto opt = bench::repro_options();
   bench::print_banner("Table IV — Aggregated false positives",
                       "Dadgar et al., DSN'18, Table IV (alpha=5, beta=6)",
                       opt);

@@ -8,7 +8,7 @@ using namespace lifeguard;
 using namespace lifeguard::harness;
 
 int main() {
-  const auto opt = ReproOptions::from_env();
+  const auto opt = bench::repro_options();
   bench::print_banner("Table VI — Message load",
                       "Dadgar et al., DSN'18, Table VI (alpha=5, beta=6)",
                       opt);

@@ -47,7 +47,7 @@ Metrics9 measure(const swim::Config& cfg, const Grid& tg, const Grid& ig,
 }  // namespace
 
 int main() {
-  const auto opt = ReproOptions::from_env();
+  const auto opt = bench::repro_options();
   bench::print_banner("Table VII — alpha/beta suspicion-timeout tuning",
                       "Dadgar et al., DSN'18, Table VII", opt);
   const Grid tg = quick_threshold(opt);

@@ -88,10 +88,10 @@ bool scan_string(std::string_view s, std::size_t& i, std::string& out,
 }
 
 bool scan_value(std::string_view s, std::size_t& i, Value& out,
-                std::string& error);
+                std::string& error, int depth);
 
 bool scan_object(std::string_view s, std::size_t& i, Value& out,
-                 std::string& error) {
+                 std::string& error, int depth) {
   out.kind = Value::Kind::kObject;
   out.members.clear();
   if (i >= s.size() || s[i] != '{') {
@@ -115,7 +115,7 @@ bool scan_object(std::string_view s, std::size_t& i, Value& out,
     }
     ++i;
     Value v;
-    if (!scan_value(s, i, v, error)) return false;
+    if (!scan_value(s, i, v, error, depth + 1)) return false;
     // Duplicate keys keep the first occurrence (matching the old
     // map::emplace behavior of the trace scanner).
     if (out.find(key) == nullptr) {
@@ -135,18 +135,24 @@ bool scan_object(std::string_view s, std::size_t& i, Value& out,
   }
 }
 
+/// `depth` counts the objects and arrays enclosing this value. The scanner
+/// recurses once per level, so the bound keeps hostile input off the stack.
 bool scan_value(std::string_view s, std::size_t& i, Value& out,
-                std::string& error) {
+                std::string& error, int depth) {
   skip_ws(s, i);
   if (i >= s.size()) {
     error = "expected a value";
+    return false;
+  }
+  if ((s[i] == '{' || s[i] == '[') && depth >= kMaxDepth) {
+    error = "nesting deeper than " + std::to_string(kMaxDepth);
     return false;
   }
   if (s[i] == '"') {
     out.kind = Value::Kind::kString;
     return scan_string(s, i, out.text, error);
   }
-  if (s[i] == '{') return scan_object(s, i, out, error);
+  if (s[i] == '{') return scan_object(s, i, out, error, depth);
   if (s[i] == 't' || s[i] == 'f') {
     const bool is_true = s.substr(i, 4) == "true";
     const bool is_false = s.substr(i, 5) == "false";
@@ -170,7 +176,7 @@ bool scan_value(std::string_view s, std::size_t& i, Value& out,
     }
     while (true) {
       Value element;
-      if (!scan_value(s, i, element, error)) return false;
+      if (!scan_value(s, i, element, error, depth + 1)) return false;
       out.array.push_back(std::move(element));
       skip_ws(s, i);
       if (i < s.size() && s[i] == ',') {
@@ -210,7 +216,7 @@ bool parse(std::string_view text, Value& out, std::string& error) {
     error = "expected '{'";
     return false;
   }
-  if (!scan_object(text, i, out, error)) return false;
+  if (!scan_object(text, i, out, error, 0)) return false;
   skip_ws(text, i);
   if (i != text.size()) {
     error = "trailing content after the document";

@@ -38,9 +38,14 @@ struct Value {
   const Value* find(std::string_view key) const;
 };
 
+/// Deepest object/array nesting parse() accepts; the top-level object is
+/// depth 1. Committed artifacts nest at most five deep.
+inline constexpr int kMaxDepth = 64;
+
 /// Parse one complete JSON document from `text`. The document must be a
 /// single object; trailing non-whitespace is an error. False + `error`
-/// (with a short reason) on malformed input.
+/// (with a short reason) on malformed input, including "nesting deeper
+/// than 64".
 bool parse(std::string_view text, Value& out, std::string& error);
 
 // ---- typed member accessors ----

@@ -1,28 +1,53 @@
 #include "harness/sweep.h"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
+#include <stdexcept>
+#include <string_view>
 
 #include "harness/campaign.h"
 #include "harness/report.h"
 
 namespace lifeguard::harness {
 
+namespace {
+
+/// Reads `var` into `out` when it is set. The value must be a whole base-10
+/// integer in [0, hi] (no sign, blanks or trailing characters); anything
+/// else throws, naming the variable and the accepted form.
+template <typename T>
+void read_env(const char* var, T hi, const char* form, T& out) {
+  const char* text = std::getenv(var);
+  if (text == nullptr) return;
+  const std::string_view v(text);
+  T parsed{};
+  const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), parsed);
+  if (ec != std::errc{} || v.front() == '-' || end != v.data() + v.size() ||
+      parsed > hi) {
+    throw std::invalid_argument(std::string(var) + "='" + text +
+                                "' is malformed: expected " + form);
+  }
+  out = parsed;
+}
+
+}  // namespace
+
 ReproOptions ReproOptions::from_env() {
+  constexpr int kIntMax = std::numeric_limits<int>::max();
   ReproOptions opt;
-  if (const char* f = std::getenv("REPRO_FULL")) {
-    opt.full = std::atoi(f) != 0;
-  }
-  if (const char* r = std::getenv("REPRO_REPS")) {
-    opt.reps_override = std::atoi(r);
-  }
-  if (const char* s = std::getenv("REPRO_SEED")) {
-    opt.seed = static_cast<std::uint64_t>(std::strtoull(s, nullptr, 10));
-  }
-  if (const char* j = std::getenv("REPRO_JOBS")) {
-    opt.jobs = std::atoi(j);
-    if (opt.jobs < 0) opt.jobs = 0;
-  }
+  int full = 0;
+  read_env("REPRO_FULL", 1, "0 (quick grid) or 1 (full paper grid)", full);
+  opt.full = full != 0;
+  read_env("REPRO_REPS", kIntMax,
+           "a non-negative integer (0 = the grid's default)",
+           opt.reps_override);
+  read_env("REPRO_SEED", std::numeric_limits<std::uint64_t>::max(),
+           "an unsigned 64-bit decimal integer", opt.seed);
+  read_env("REPRO_JOBS", kIntMax,
+           "a non-negative integer (0 = one worker per hardware thread)",
+           opt.jobs);
   return opt;
 }
 

@@ -15,6 +15,7 @@
 //   REPRO_SEED=n   base seed (default 42).
 //   REPRO_JOBS=n   worker threads (default 0 = one per hardware thread;
 //                  1 = sequential).
+// A malformed value is an error, never a silent default.
 // The default ("quick") grids subsample each dimension so every bench binary
 // finishes in tens of seconds while preserving the paper's qualitative
 // shape. Run seeds are paired across configurations: the same grid point and
@@ -40,7 +41,9 @@ struct ReproOptions {
   /// Campaign worker threads: 0 = one per hardware thread, 1 = sequential.
   int jobs = 0;
   /// Read REPRO_FULL / REPRO_REPS / REPRO_SEED / REPRO_JOBS from the
-  /// environment.
+  /// environment. Each set variable must be a whole base-10 integer in its
+  /// range (FULL 0 or 1; REPS and JOBS >= 0; SEED any u64); otherwise
+  /// throws std::invalid_argument naming the variable and the accepted form.
   static ReproOptions from_env();
 };
 

@@ -148,6 +148,18 @@ TEST(TraceFormat, TruncatedTraceIsRejected) {
   EXPECT_NE(error.find("truncated"), std::string::npos);
 }
 
+// A trace line nested past the scanner's depth bound is a line-numbered
+// load error, not a stack overflow.
+TEST(TraceFormat, DeeplyNestedLineIsRejected) {
+  const int levels = 200000;
+  std::stringstream in("{\"type\": " + std::string(levels, '[') +
+                       std::string(levels, ']') + "}\n");
+  std::string error;
+  EXPECT_FALSE(check::load_trace(in, error).has_value());
+  EXPECT_NE(error.find("line 1: nesting deeper than 64"), std::string::npos)
+      << error;
+}
+
 // Every fault kind's entry spec must reconstruct the entry exactly through
 // the public --fault grammar.
 TEST(TraceFormat, EntrySpecsRoundTripEveryFaultKind) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <stdexcept>
+#include <string>
 
 namespace lifeguard::harness {
 namespace {
@@ -112,6 +114,51 @@ TEST(Sweep, EnvParsing) {
   EXPECT_FALSE(def.full);
   EXPECT_EQ(def.reps_override, 0);
   EXPECT_EQ(def.seed, 42u);
+  EXPECT_EQ(def.jobs, 0);
+
+  ::setenv("REPRO_JOBS", "4", 1);
+  ::setenv("REPRO_SEED", "18446744073709551615", 1);
+  const auto edge = ReproOptions::from_env();
+  EXPECT_EQ(edge.jobs, 4);
+  EXPECT_EQ(edge.seed, 18446744073709551615u);
+  ::unsetenv("REPRO_JOBS");
+  ::unsetenv("REPRO_SEED");
+
+  // A malformed value is an error naming the variable and the accepted
+  // form, never a silent default (REPRO_FULL=yes used to mean quick).
+  struct Bad {
+    const char* var;
+    const char* value;
+    const char* form;
+  };
+  for (const Bad& bad : {
+           Bad{"REPRO_FULL", "yes", "0 (quick grid) or 1"},
+           Bad{"REPRO_FULL", "2", "0 (quick grid) or 1"},
+           Bad{"REPRO_FULL", "", "0 (quick grid) or 1"},
+           Bad{"REPRO_REPS", "-1", "non-negative integer"},
+           Bad{"REPRO_REPS", "3x", "non-negative integer"},
+           Bad{"REPRO_REPS", "99999999999", "non-negative integer"},
+           Bad{"REPRO_SEED", "abc", "unsigned 64-bit"},
+           Bad{"REPRO_SEED", " 42", "unsigned 64-bit"},
+           Bad{"REPRO_SEED", "-1", "unsigned 64-bit"},
+           Bad{"REPRO_SEED", "18446744073709551616", "unsigned 64-bit"},
+           Bad{"REPRO_JOBS", "four", "non-negative integer"},
+           Bad{"REPRO_JOBS", "-2", "non-negative integer"},
+           Bad{"REPRO_JOBS", "+4", "non-negative integer"},
+       }) {
+    ::setenv(bad.var, bad.value, 1);
+    try {
+      ReproOptions::from_env();
+      ADD_FAILURE() << bad.var << "='" << bad.value << "' was accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find(std::string(bad.var) + "='" + bad.value + "'"),
+                std::string::npos)
+          << msg;
+      EXPECT_NE(msg.find(bad.form), std::string::npos) << msg;
+    }
+    ::unsetenv(bad.var);
+  }
 }
 
 }  // namespace

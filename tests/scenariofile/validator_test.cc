@@ -95,6 +95,15 @@ TEST(ScenarioFileValidator, MissingNameIsRequired) {
   EXPECT_NE(error.find("'name'"), std::string::npos) << error;
 }
 
+// A document nested 200k deep used to overflow the scanner's stack
+// (SIGSEGV); the depth bound makes it an ordinary parse error.
+TEST(ScenarioFileValidator, DeepNestingIsAnErrorNotACrash) {
+  const int levels = 200000;
+  expect_rejected("\"a\": " + std::string(levels, '[') +
+                      std::string(levels, ']'),
+                  {"nesting deeper than 64"});
+}
+
 TEST(BaselinesValidator, StrictAboutKeysTypesAndDuplicates) {
   std::string error;
   EXPECT_FALSE(baselines_from_json(
