@@ -125,7 +125,6 @@ std::vector<GridPoint> expand_grid(const Campaign& c) {
       p.salts.push_back(pt.seed_salt);
       if (pt.apply) pt.apply(p.scenario);
     }
-    if (c.finalize) c.finalize(p.scenario);
     grid.push_back(std::move(p));
     for (std::size_t ai = c.axes.size(); ai-- > 0;) {
       if (++idx[ai] < c.axes[ai].points.size()) break;
@@ -271,7 +270,7 @@ void fold_point_stats(const std::vector<GridPoint>& grid,
 CampaignResult run(const Campaign& c, const std::vector<Reporter*>& reporters) {
   // Split validation so the grid is expanded exactly once (a full Table
   // II/III campaign has hundreds of points, each a Scenario copy plus axis
-  // closures — and user-supplied apply/finalize hooks should fire once).
+  // closures — and user-supplied apply hooks should fire once).
   std::vector<GridPoint> grid;
   {
     std::vector<std::string> errors = validate_shape(c);

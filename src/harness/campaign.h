@@ -102,9 +102,6 @@ struct Campaign {
   /// Worker threads. 0 = one per hardware thread; 1 = sequential. Results
   /// never depend on this value.
   int jobs = 0;
-  /// Optional post-processing applied after every axis, before validation
-  /// (e.g. grid semantics that couple several swept fields).
-  std::function<void(Scenario&)> finalize;
   /// Retain each trial's full Metrics registry in the CampaignResult. Off by
   /// default: the registry is the bulky part of a RunResult and aggregation
   /// only needs the scalar fields. Reporters always see the full result.
@@ -133,7 +130,7 @@ struct GridPoint {
   std::vector<std::string> labels;
   /// Axis point salts, parallel to Campaign::axes (trial_seed input).
   std::vector<std::uint64_t> salts;
-  /// Base scenario with every axis point (and finalize) applied.
+  /// Base scenario with every axis point applied.
   Scenario scenario;
 };
 
@@ -144,7 +141,7 @@ std::vector<GridPoint> expand_grid(const Campaign& c);
 /// Per-trial seed derivation: a SplitMix64 chain over the base seed, each
 /// axis salt in axis order, and the repetition index. Depends only on the
 /// campaign descriptor — never on thread scheduling — so every trial replays
-/// bit-identically at any `jobs` level. sweep.h's run_seed() is this
+/// bit-identically at any `jobs` level. sweep.h's interval grid is this
 /// chain with salts {c, d_us, i_us}.
 std::uint64_t trial_seed(std::uint64_t base,
                          const std::vector<std::uint64_t>& salts, int rep);

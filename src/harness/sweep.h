@@ -1,14 +1,16 @@
-// Parameter sweeps over the experiment grids (paper Tables II & III) and
-// their aggregation into the evaluation's tables and figures.
+// The paper's experiment grids (Tables II & III) and the campaigns that run
+// them.
 //
-// Both sweeps run on the parallel Campaign engine (see campaign.h): the grid
-// becomes campaign axes over a one-entry fault timeline (interval: lock-step
-// D-blocked / I-open cycles for the test length, §V-D2; threshold: one
-// synchronized block of D, §V-D1), repetitions become trials, and trials
-// execute on a worker pool. Results are bit-identical at every parallelism
-// level.
+// A grid is data: victim counts C, anomaly durations D, open intervals I and
+// repetitions. interval_campaign() / threshold_campaign() turn a grid plus a
+// base Scenario (a catalog file whose timeline entry 0 is the anomaly) into
+// a Campaign: the grid becomes victims/duration/interval axes over entry 0,
+// repetitions become trials, and trials run on the Campaign worker pool
+// (interval: lock-step D-blocked / I-open cycles for the test length,
+// §V-D2; threshold: one synchronized block of D, §V-D1). Results are
+// bit-identical at every parallelism level.
 //
-// Scope control (environment):
+// Scope control (environment), read by ReproOptions::from_env():
 //   REPRO_FULL=1   use the paper's full grid (Tables II/III, 10 repetitions,
 //                  120 s interval runs) — hours of compute on one core.
 //   REPRO_REPS=n   override repetitions.
@@ -16,21 +18,20 @@
 //   REPRO_JOBS=n   worker threads (default 0 = one per hardware thread;
 //                  1 = sequential).
 // A malformed value is an error, never a silent default.
-// The default ("quick") grids subsample each dimension so every bench binary
-// finishes in tens of seconds while preserving the paper's qualitative
-// shape. Run seeds are paired across configurations: the same grid point and
-// repetition sees the same anomaly victims and schedule under every config,
-// which sharpens the %-of-SWIM comparisons at low repetition counts.
+// The default ("quick") grids subsample each dimension so the paper driver
+// finishes in tens of seconds per artifact while preserving the paper's
+// qualitative shape. Trial seeds are paired across configurations: the
+// axis salts are {c, d_us, i_us} (threshold: {c, d_us, 0}) and nothing
+// else, so the same grid point and repetition sees the same anomaly victims
+// and schedule under every config, which sharpens the %-of-SWIM comparisons
+// at low repetition counts.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <map>
-#include <string>
 #include <vector>
 
-#include "common/metrics.h"
-#include "harness/campaign.h"  // NamedConfig / table1_configs for the benches
+#include "common/types.h"
+#include "harness/campaign.h"
 
 namespace lifeguard::harness {
 
@@ -52,10 +53,10 @@ struct Grid {
   std::vector<Duration> durations;   ///< D values
   std::vector<Duration> intervals;   ///< I values (interval experiment only)
   int repetitions = 1;
-  int cluster_size = 128;
-  Duration quiesce = sec(15);
   Duration test_length = sec(60);    ///< interval experiment length
   Duration observe = sec(70);        ///< threshold observation window
+
+  bool operator==(const Grid&) const = default;
 };
 
 /// Paper Table III (full) or a representative subsample (quick).
@@ -63,45 +64,24 @@ Grid interval_grid(const ReproOptions& opt);
 /// Paper Table II (full) or a representative subsample (quick).
 Grid threshold_grid(const ReproOptions& opt);
 
-/// Aggregate of an interval-experiment sweep for one configuration.
-struct IntervalSweepResult {
-  std::int64_t fp = 0;    ///< FP Events
-  std::int64_t fpm = 0;   ///< FP- Events (at healthy members)
-  std::int64_t msgs = 0;  ///< compound messages sent
-  std::int64_t bytes = 0;
-  std::map<int, std::int64_t> fp_by_c;   ///< per concurrency level (Fig. 2)
-  std::map<int, std::int64_t> fpm_by_c;  ///< per concurrency level (Fig. 3)
-  int runs = 0;
-};
+/// The concurrency axis C (salt = C, label = C): uniform victims of
+/// timeline entry 0.
+Axis victims_axis(const std::vector<int>& counts);
 
-/// Aggregate of a threshold-experiment sweep for one configuration.
-struct ThresholdSweepResult {
-  Histogram first_detect;  ///< seconds
-  Histogram full_dissem;   ///< seconds
-  int runs = 0;
-};
+/// The builders return a Campaign with the grid's repetitions; the caller
+/// sets its protocol config (base.config), base_seed and jobs.
+///
+/// The interval experiment over `base`, whose timeline entry 0 must be an
+/// interval block: axes victims × duration × interval (salts {c, d_us,
+/// i_us}) set that entry's victims, blocked span D and open interval I;
+/// entry 0 and the run both last grid.test_length. Throws
+/// std::invalid_argument when entry 0 is missing or of another kind.
+Campaign interval_campaign(Scenario base, const Grid& grid);
 
-using ProgressFn = std::function<void(int done, int total)>;
-
-/// Runs the grid on the Campaign worker pool. `jobs` < 0 reads REPRO_JOBS
-/// (then 0 = one worker per hardware thread, 1 = sequential). `progress`
-/// fires in completion order.
-IntervalSweepResult sweep_interval(const swim::Config& cfg, const Grid& grid,
-                                   std::uint64_t seed_base,
-                                   const ProgressFn& progress = {},
-                                   int jobs = -1);
-
-ThresholdSweepResult sweep_threshold(const swim::Config& cfg, const Grid& grid,
-                                     std::uint64_t seed_base,
-                                     const ProgressFn& progress = {},
-                                     int jobs = -1);
-
-/// Stderr progress meter ("label: 12/36 runs") for bench binaries.
-ProgressFn stderr_progress(std::string label);
-
-/// Per-run seed derivation, stable across configurations (paired runs).
-/// Equals campaign trial_seed(base, {c, d_us, i_us}, rep).
-std::uint64_t run_seed(std::uint64_t base, int c, std::int64_t d_us,
-                       std::int64_t i_us, int rep);
+/// The threshold experiment over `base`, whose timeline entry 0 must be a
+/// block: axes victims × duration × a constant interval point (salts {c,
+/// d_us, 0}) set that entry's victims and duration; the run observes
+/// grid.observe. Throws std::invalid_argument like interval_campaign().
+Campaign threshold_campaign(Scenario base, const Grid& grid);
 
 }  // namespace lifeguard::harness

@@ -61,4 +61,9 @@ std::string fmt_bytes_gib(std::int64_t bytes) {
   return fmt_double(static_cast<double>(bytes) / (1024.0 * 1024.0 * 1024.0), 3);
 }
 
+std::string fmt_percentile(const Histogram& h, double q, int decimals) {
+  if (h.count() == 0) return "n/a";
+  return fmt_double(h.percentile(q), decimals);
+}
+
 }  // namespace lifeguard::harness

@@ -7,6 +7,8 @@
 #include <string>
 #include <vector>
 
+#include "common/metrics.h"
+
 namespace lifeguard::harness {
 
 class Table {
@@ -31,5 +33,8 @@ std::string fmt_double(double v, int decimals);
 /// "n/a" when base == 0 and value != 0).
 std::string fmt_pct(double value, double base);
 std::string fmt_bytes_gib(std::int64_t bytes);
+/// h's q-quantile with `decimals` digits, or "n/a" when h has no samples
+/// (Histogram::percentile() would read 0).
+std::string fmt_percentile(const Histogram& h, double q, int decimals);
 
 }  // namespace lifeguard::harness

@@ -14,19 +14,6 @@
 namespace lifeguard::harness {
 namespace {
 
-/// Victim-count sweep over timeline entry 0 (salt = count).
-Axis victims_axis(const std::vector<int>& counts) {
-  std::vector<AxisPoint> points;
-  for (int c : counts) {
-    points.push_back({std::to_string(c), static_cast<std::uint64_t>(c),
-                      [c](Scenario& s) {
-                        s.timeline.entry(0).victims =
-                            fault::VictimSelector::uniform(c);
-                      }});
-  }
-  return Axis::custom("victims", std::move(points));
-}
-
 /// Blocked-span D sweep over timeline entry 0 (salt = microseconds).
 Axis period_axis(const std::vector<Duration>& values) {
   std::vector<AxisPoint> points;
@@ -102,16 +89,14 @@ void expect_same_trial(const TrialResult& a, const TrialResult& b) {
 }
 
 TEST(TrialSeed, MatchesLegacyRunSeed) {
-  // Golden values captured from the pre-campaign run_seed() implementation
-  // (an independent build of the old SplitMix64 chain, not this code): they
-  // pin the seed derivation so paper-grid trials stay bit-identical to the
-  // historical sequential loops. run_seed() itself now delegates to
-  // trial_seed(), so comparing the two functions alone would be vacuous.
+  // Golden values captured from the pre-campaign per-run seed function (an
+  // independent build of the old SplitMix64 chain, not this code): they pin
+  // the seed derivation so paper-grid trials stay bit-identical to the
+  // historical sequential loops, whose coordinates were {c, d_us, i_us}.
   EXPECT_EQ(trial_seed(42, {8, 16384000, 4000}, 3), 2716496835168647550ULL);
   EXPECT_EQ(trial_seed(7, {1, 512000, 256000}, 0), 13209086244567694092ULL);
-  EXPECT_EQ(run_seed(42, 8, 16384000, 4000, 3), 2716496835168647550ULL);
-  // The threshold sweep keeps the legacy i = 0 coordinate via a constant
-  // single-point axis, so its chain is run_seed(base, c, d, 0, rep) too.
+  // The threshold grid keeps the legacy i = 0 coordinate via a constant
+  // single-point axis, so its chain is {c, d_us, 0}.
   EXPECT_EQ(trial_seed(42, {4, 16384000, 0}, 2), 7500441873338434338ULL);
 }
 

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
+#include <vector>
+
+#include "harness/report.h"
 
 namespace lifeguard::harness {
 namespace {
@@ -54,15 +59,29 @@ TEST(Sweep, RepsOverrideApplies) {
   EXPECT_EQ(threshold_grid(opt).repetitions, 7);
 }
 
-TEST(Sweep, RunSeedsArePairedAndDistinct) {
-  // Same grid point -> same seed (paired across configs); different points
-  // -> different seeds.
-  EXPECT_EQ(run_seed(42, 8, 1000, 4, 0), run_seed(42, 8, 1000, 4, 0));
-  EXPECT_NE(run_seed(42, 8, 1000, 4, 0), run_seed(42, 8, 1000, 4, 1));
-  EXPECT_NE(run_seed(42, 8, 1000, 4, 0), run_seed(42, 9, 1000, 4, 0));
-  EXPECT_NE(run_seed(42, 8, 1000, 4, 0), run_seed(42, 8, 2000, 4, 0));
-  EXPECT_NE(run_seed(42, 8, 1000, 4, 0), run_seed(43, 8, 1000, 4, 0));
+/// A small cluster with one placeholder anomaly entry of `fault`'s kind;
+/// the grid axes fill in its victims and shape.
+Scenario tiny_base(int cluster_size, fault::Fault fault,
+                   const swim::Config& cfg) {
+  Scenario s;
+  s.name = "tiny-grid";
+  s.cluster_size = cluster_size;
+  s.quiesce = sec(10);
+  s.config = cfg;
+  s.timeline.add(Duration{}, msec(1), fault,
+                 fault::VictimSelector::uniform(1));
+  return s;
 }
+
+/// Counts progress callbacks.
+class CountingReporter : public Reporter {
+ public:
+  void progress(int done, int total) override {
+    ++calls;
+    EXPECT_LE(done, total);
+  }
+  int calls = 0;
+};
 
 TEST(Sweep, TinySweepAggregates) {
   Grid g;
@@ -70,20 +89,23 @@ TEST(Sweep, TinySweepAggregates) {
   g.durations = {msec(512)};
   g.intervals = {msec(256)};
   g.repetitions = 1;
-  g.cluster_size = 24;
-  g.quiesce = sec(10);
   g.test_length = sec(15);
-  int calls = 0;
-  const auto r = sweep_interval(swim::Config::lifeguard(), g, 7,
-                                [&](int done, int total) {
-                                  ++calls;
-                                  EXPECT_LE(done, total);
-                                });
-  EXPECT_EQ(r.runs, 1);
-  EXPECT_EQ(calls, 1);
-  EXPECT_GT(r.msgs, 0);
-  EXPECT_EQ(r.fp_by_c.size(), 1u);
-  ASSERT_TRUE(r.fp_by_c.contains(2));
+  Campaign camp = interval_campaign(
+      tiny_base(24, fault::Fault::interval_block(msec(1), msec(1)),
+                swim::Config::lifeguard()),
+      g);
+  camp.base_seed = 7;
+  EXPECT_EQ(camp.base.run_length, sec(15));
+  EXPECT_EQ(camp.base.timeline.entries()[0].duration, sec(15));
+  CountingReporter meter;
+  const CampaignResult r = run(camp, {&meter});
+  ASSERT_EQ(r.trials.size(), 1u);
+  EXPECT_EQ(meter.calls, 1);
+  EXPECT_GT(r.trials[0].result.msgs_sent, 0);
+  ASSERT_EQ(r.points.size(), 1u);
+  EXPECT_EQ(r.points[0].labels,
+            (std::vector<std::string>{"2", "512ms", "256ms"}));
+  EXPECT_EQ(r.trials[0].result.victims.size(), 2u);
 }
 
 TEST(Sweep, ThresholdSweepCollectsLatencySamples) {
@@ -91,12 +113,72 @@ TEST(Sweep, ThresholdSweepCollectsLatencySamples) {
   g.concurrency = {2};
   g.durations = {msec(32768)};
   g.repetitions = 1;
-  g.cluster_size = 32;
-  g.quiesce = sec(10);
   g.observe = sec(50);
-  const auto r = sweep_threshold(swim::Config::swim_baseline(), g, 11);
-  EXPECT_EQ(r.runs, 1);
-  EXPECT_EQ(r.first_detect.count(), 2u);  // both victims detected
+  Campaign camp = threshold_campaign(
+      tiny_base(32, fault::Fault::block(), swim::Config::swim_baseline()), g);
+  camp.base_seed = 11;
+  const CampaignResult r = run(camp);
+  ASSERT_EQ(r.trials.size(), 1u);
+  EXPECT_EQ(r.trials[0].result.first_detect.size(), 2u);  // both detected
+}
+
+TEST(Sweep, BuildersRejectABaseOfAnotherKind) {
+  const Scenario block =
+      tiny_base(8, fault::Fault::block(), swim::Config::lifeguard());
+  EXPECT_THROW(interval_campaign(block, Grid{}), std::invalid_argument);
+  Scenario healthy = block;
+  healthy.timeline = fault::Timeline{};
+  EXPECT_THROW(threshold_campaign(healthy, Grid{}), std::invalid_argument);
+}
+
+TEST(Sweep, BuildersKeepTheGridSaltsAndSeeds) {
+  // Trial seeds depend only on the axis salts, so these pin every printed
+  // paper number: interval points salt {c, d_us, i_us}, threshold points
+  // {c, d_us, 0}, over the catalog bases the paper driver uses.
+  const ScenarioRegistry& catalog = ScenarioRegistry::builtin();
+  const ReproOptions quick;
+  const Grid ig = interval_grid(quick);
+  Campaign interval =
+      interval_campaign(*catalog.find("table4-false-positives"), ig);
+  interval.base_seed = 42;
+  std::vector<std::vector<std::uint64_t>> want;
+  for (int c : ig.concurrency) {
+    for (Duration d : ig.durations) {
+      for (Duration i : ig.intervals) {
+        want.push_back({static_cast<std::uint64_t>(c),
+                        static_cast<std::uint64_t>(d.us),
+                        static_cast<std::uint64_t>(i.us)});
+      }
+    }
+  }
+  std::vector<std::vector<std::uint64_t>> got;
+  bool found = false;
+  for (const GridPoint& p : expand_grid(interval)) {
+    got.push_back(p.salts);
+    if (p.labels == std::vector<std::string>{"8", "16384ms", "4ms"}) {
+      found = true;
+      EXPECT_EQ(trial_seed(interval.base_seed, p.salts, 3),
+                2716496835168647550ULL);
+    }
+  }
+  EXPECT_EQ(got, want);
+  EXPECT_TRUE(found);
+
+  const Grid tg = threshold_grid(quick);
+  Campaign threshold =
+      threshold_campaign(*catalog.find("table5-latency"), tg);
+  want.clear();
+  got.clear();
+  for (int c : tg.concurrency) {
+    for (Duration d : tg.durations) {
+      want.push_back({static_cast<std::uint64_t>(c),
+                      static_cast<std::uint64_t>(d.us), 0});
+    }
+  }
+  for (const GridPoint& p : expand_grid(threshold)) got.push_back(p.salts);
+  EXPECT_EQ(got, want);
+  EXPECT_TRUE(interval.validate().empty());
+  EXPECT_TRUE(threshold.validate().empty());
 }
 
 TEST(Sweep, EnvParsing) {

@@ -55,6 +55,15 @@ TEST(Formatting, Percentages) {
   EXPECT_EQ(fmt_pct(5, 0), "n/a");
 }
 
+TEST(Formatting, PercentilesOfEmptySampleSetsAreNotApplicable) {
+  Histogram h;
+  EXPECT_EQ(fmt_percentile(h, 0.5, 2), "n/a");
+  h.record(12.0);
+  h.record(13.0);
+  EXPECT_EQ(fmt_percentile(h, 0.5, 2), "12.50");
+  EXPECT_EQ(fmt_percentile(h, 0.0, 1), "12.0");
+}
+
 TEST(Formatting, GiB) {
   EXPECT_EQ(fmt_bytes_gib(1024LL * 1024 * 1024), "1.000");
   EXPECT_EQ(fmt_bytes_gib(0), "0.000");
