@@ -30,7 +30,7 @@ std::vector<const Member*> MembershipTable::all() const {
 
 Member& MembershipTable::add(Member m, Rng& rng) {
   auto [it, inserted] = members_.emplace(m.name, std::move(m));
-  if (inserted && is_active(it->second.state)) ++active_;
+  if (inserted) ++counts_[static_cast<std::size_t>(it->second.state)];
   if (inserted && it->first != self_) {
     // Random-position insertion keeps expected first-detection latency equal
     // to uniform random selection (paper §III-A).
@@ -44,7 +44,8 @@ Member& MembershipTable::add(Member m, Rng& rng) {
 }
 
 void MembershipTable::set_state(Member& m, MemberState s, TimePoint now) {
-  active_ += static_cast<int>(is_active(s)) - static_cast<int>(is_active(m.state));
+  --counts_[static_cast<std::size_t>(m.state)];
+  ++counts_[static_cast<std::size_t>(s)];
   m.state = s;
   m.state_change = now;
 }
@@ -52,7 +53,7 @@ void MembershipTable::set_state(Member& m, MemberState s, TimePoint now) {
 void MembershipTable::remove(const std::string& name) {
   const auto it = members_.find(name);
   if (it == members_.end()) return;
-  if (is_active(it->second.state)) --active_;
+  --counts_[static_cast<std::size_t>(it->second.state)];
   // Probe entries point at the stored key: drop them before the member.
   std::erase_if(probe_order_,
                 [&](const std::string* p) { return *p == name; });

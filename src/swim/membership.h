@@ -8,6 +8,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <functional>
 #include <optional>
 #include <string>
@@ -32,12 +33,19 @@ class MembershipTable {
   bool contains(const std::string& name) const;
   const std::string& self_name() const { return self_; }
 
+  /// Number of known members in state `s`, including self. O(1): kept by
+  /// add/set_state/remove, so the sampler's per-tick census is free.
+  int count(MemberState s) const {
+    return counts_[static_cast<std::size_t>(s)];
+  }
   /// Number of known members in active states (alive or suspect), including
   /// self. This is the `n` used for gossip retransmit and suspicion scaling.
-  /// O(1): maintained incrementally by add/set_state/remove — the piggyback
-  /// path asks on every outbound message, and a per-message O(n) scan was
-  /// the simulator's single largest cost at cluster sizes ≥ 512.
-  int num_active() const { return active_; }
+  /// O(1): the piggyback path asks on every outbound message, and a
+  /// per-message O(n) scan was the simulator's single largest cost at
+  /// cluster sizes ≥ 512.
+  int num_active() const {
+    return count(MemberState::kAlive) + count(MemberState::kSuspect);
+  }
   /// All known members (any state), unspecified order.
   std::vector<const Member*> all() const;
   std::size_t size() const { return members_.size(); }
@@ -46,7 +54,7 @@ class MembershipTable {
   /// Insert a new member. Active members also enter the probe list at a
   /// random position (SWIM's join rule). Returns the stored record.
   Member& add(Member m, Rng& rng);
-  /// Update state; maintains the active count. Does not touch probe order
+  /// Update state; maintains the per-state counts. Does not touch probe order
   /// (dead members are skipped lazily at selection time).
   void set_state(Member& m, MemberState s, TimePoint now);
   /// Drop a member entirely (dead-reclaim housekeeping).
@@ -105,7 +113,8 @@ class MembershipTable {
   /// add were a measurable quadratic term.
   std::vector<const std::string*> probe_order_;
   std::size_t probe_index_ = 0;
-  int active_ = 0;
+  /// Members per MemberState, indexed by its value.
+  std::array<int, 4> counts_{};
 };
 
 }  // namespace lifeguard::swim

@@ -217,7 +217,8 @@ void Node::reconnect_tick() {
   if (!running_) return;
   reconnect_timer_ =
       rt_.schedule(cfg_.reconnect_interval, [this] { reconnect_tick(); });
-  if (rt_.blocked()) return;
+  // With no dead member the walk below finds no candidate and draws nothing.
+  if (rt_.blocked() || table_.count(MemberState::kDead) == 0) return;
   // A member that failed (not left) may be on the far side of a healed
   // partition: offer it a full state exchange. If it is genuinely dead the
   // request simply goes unanswered.
@@ -239,6 +240,8 @@ void Node::housekeeping_tick() {
   if (!running_) return;
   housekeeping_timer_ = rt_.schedule(cfg_.dead_reclaim_after / 2,
                                      [this] { housekeeping_tick(); });
+  if (table_.count(MemberState::kDead) + table_.count(MemberState::kLeft) == 0)
+    return;
   const TimePoint now = rt_.now();
   std::vector<std::string> reclaim;
   for (const Member* m : table_.all()) {
@@ -392,22 +395,6 @@ std::vector<std::string> Node::active_view() const {
     if (is_active(m->state)) out.push_back(m->name);
   }
   return out;
-}
-
-int Node::suspect_count() const {
-  int n = 0;
-  for (const Member* m : table_.all()) {
-    n += m->state == MemberState::kSuspect ? 1 : 0;
-  }
-  return n;
-}
-
-int Node::dead_count() const {
-  int n = 0;
-  for (const Member* m : table_.all()) {
-    n += m->state == MemberState::kDead ? 1 : 0;
-  }
-  return n;
 }
 
 }  // namespace lifeguard::swim

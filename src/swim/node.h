@@ -115,8 +115,10 @@ class Node : public membership::Agent {
   // ---- membership::Agent views ----
   int active_members() const override { return table_.num_active(); }
   std::vector<std::string> active_view() const override;
-  int suspect_count() const override;
-  int dead_count() const override;
+  int suspect_count() const override {
+    return table_.count(MemberState::kSuspect);
+  }
+  int dead_count() const override { return table_.count(MemberState::kDead); }
   double health_score() const override {
     return static_cast<double>(health_.score());
   }

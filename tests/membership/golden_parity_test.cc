@@ -137,5 +137,44 @@ TEST(GoldenParity, ChurnRestartsRebuildNodesThroughTheBackend) {
   EXPECT_EQ(c.trace_digest, 7732788344126815014ull);
 }
 
+TEST(GoldenParity, SampledChurnReclaimsAndRejoinsDeadMembers) {
+  // The sampled golden above never reclaims (60 s run, 120 s default
+  // reclaim). Here victims stay down for 40 s against a 20 s reclaim, so
+  // every view removes them, the reconnect tick picks among dead members,
+  // housekeeping skips its walk whenever nothing is dead or left, and the
+  // restarted victims are re-added under their old names — all under 500 ms
+  // sampling and the full invariant suite. Captured before the member-state
+  // counts moved into MembershipTable; the digest covers every sample.
+  Scenario s;
+  s.name = "golden-reclaim";
+  s.summary = "golden";
+  s.cluster_size = 10;
+  s.config = swim::Config::lifeguard();
+  s.config.dead_reclaim_after = sec(20);
+  s.timeline.add(Duration{}, sec(90), fault::Fault::churn(sec(40), sec(20)),
+                 fault::VictimSelector::uniform(2));
+  s.quiesce = sec(15);
+  s.run_length = sec(90);
+  s.checks = check::Spec::all();
+  s.metrics_interval = msec(500);
+  s.seed = 11;
+  const Captured c = capture(s);
+  EXPECT_EQ(c.result.metrics.counter_value("swim.reclaimed"), 16);
+  EXPECT_EQ(c.result.metrics.counter_value("sync.reconnect_attempts"), 27);
+  EXPECT_EQ(c.result.fp_events, 0);
+  EXPECT_EQ(c.result.fp_healthy_events, 0);
+  EXPECT_EQ(c.result.msgs_sent, 3962);
+  EXPECT_EQ(c.result.bytes_sent, 122566);
+  const std::vector<double> first_detect = {60.779055, 51.513829000000001};
+  const std::vector<double> full_dissem = {60.937480999999998,
+                                           51.842078999999998};
+  EXPECT_EQ(c.result.first_detect, first_detect);
+  EXPECT_EQ(c.result.full_dissem, full_dissem);
+  EXPECT_EQ(c.result.checks.total_violations, 0);
+  EXPECT_EQ(c.result.series.size(), 4704u);
+  EXPECT_EQ(c.trace_events, 4868u);
+  EXPECT_EQ(c.trace_digest, 3167062172345025211ull);
+}
+
 }  // namespace
 }  // namespace lifeguard::membership

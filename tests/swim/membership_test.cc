@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <set>
 
 namespace lifeguard::swim {
@@ -179,6 +180,57 @@ TEST(Membership, PredicateFiltering) {
   });
   ASSERT_EQ(picks.size(), 1u);
   EXPECT_EQ(picks[0]->name, "dead1");
+}
+
+TEST(Membership, StateCountsMatchRecountUnderRandomMutation) {
+  // Seeded random add / set_state / remove sequences, including re-adding a
+  // removed name and adding a name already present (a no-op): after every
+  // step each per-state count and num_active() equal a brute-force recount.
+  constexpr MemberState kStates[] = {MemberState::kAlive,
+                                     MemberState::kSuspect, MemberState::kDead,
+                                     MemberState::kLeft};
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    MembershipTable t("self");
+    t.add(mk("self"), rng);
+    for (int step = 0; step < 400; ++step) {
+      const std::string name = "m" + std::to_string(rng.uniform(12));
+      const MemberState s = kStates[rng.uniform(4)];
+      switch (rng.uniform(3)) {
+        case 0: {
+          const Member* before = t.find(name);
+          const std::optional<MemberState> was =
+              before ? std::optional(before->state) : std::nullopt;
+          const std::size_t size = t.size();
+          t.add(mk(name, s), rng);
+          if (was) {  // already present: the add changes nothing
+            EXPECT_EQ(t.find(name)->state, *was);
+            EXPECT_EQ(t.size(), size);
+          }
+          break;
+        }
+        case 1:
+          if (Member* m = t.find(name)) {
+            t.set_state(*m, s, TimePoint{step});
+          }
+          break;
+        default:
+          t.remove(name);
+          EXPECT_FALSE(t.contains(name));
+          break;
+      }
+      std::map<MemberState, int> recount;
+      for (const Member* m : t.all()) ++recount[m->state];
+      for (MemberState st : kStates) {
+        ASSERT_EQ(t.count(st), recount[st])
+            << "seed " << seed << " step " << step << " state "
+            << member_state_name(st);
+      }
+      ASSERT_EQ(t.num_active(), recount[MemberState::kAlive] +
+                                    recount[MemberState::kSuspect])
+          << "seed " << seed << " step " << step;
+    }
+  }
 }
 
 TEST(MemberState, NamesAndActivity) {
