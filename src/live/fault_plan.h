@@ -56,8 +56,8 @@ struct LiveAction {
   int node = -1;   ///< victim (process/netem kinds); -1 for markers
   int entry = -1;  ///< owning fault::Timeline entry index
   int token = 0;   ///< netem overlay / partition claim key
-  net::NetemFilter::Overlay overlay;  ///< kNetemAdd only
-  std::vector<int> island;            ///< kPartitionAdd/kPartitionDel only
+  net::NetemFilter::Overlay overlay{};  ///< kNetemAdd only
+  std::vector<int> island{};              ///< kPartitionAdd/kPartitionDel only
 };
 
 struct LivePlan {

@@ -17,8 +17,8 @@ void BroadcastQueue::queue(const std::string& member,
   invalidate(member);
   const Rank rank{0, next_id_++};
   min_frame_size_ = std::min(min_frame_size_, frame.size());
-  entries_.emplace(rank, Entry{member, std::move(frame)});
-  by_key_.emplace(member, rank);
+  KeyRecord& key = *by_key_.emplace(member, rank).first;
+  entries_.emplace(rank, Entry{&key, std::move(frame)});
 }
 
 void BroadcastQueue::invalidate(const std::string& member) {
@@ -67,10 +67,12 @@ std::vector<std::vector<std::uint8_t>> BroadcastQueue::get_broadcasts(
     const Rank bumped{it->first.transmits + 1, it->first.enqueue_id};
     auto node = entries_.extract(it);
     if (bumped.transmits >= limit) {
-      by_key_.erase(node.mapped().key);  // reached its retransmit limit
+      // Reached its retransmit limit. Look the record up before erasing it:
+      // the key argument lives in the node being erased.
+      by_key_.erase(by_key_.find(node.mapped().key->first));
       continue;
     }
-    by_key_[node.mapped().key] = bumped;
+    node.mapped().key->second = bumped;
     node.key() = bumped;
     entries_.insert(std::move(node));
   }

@@ -54,10 +54,6 @@ class BroadcastQueue {
   int max_transmits() const { return max_transmits_; }
 
  private:
-  struct Entry {
-    std::string key;
-    std::vector<std::uint8_t> frame;
-  };
   /// Selection rank: fewest transmits first, then newest (largest enqueue
   /// id) first. (transmits, enqueue_id) pairs are unique, so this is a total
   /// order — keeping entries in a map sorted by it replaces the old
@@ -73,6 +69,14 @@ class BroadcastQueue {
       if (a.transmits != b.transmits) return a.transmits < b.transmits;
       return a.enqueue_id > b.enqueue_id;
     }
+  };
+  using KeyRecord = std::pair<const std::string, Rank>;
+  struct Entry {
+    /// This entry's `by_key_` record (node-stable across rehash): it names
+    /// the member, and a transmit bump writes the new rank through it
+    /// instead of hashing the key again.
+    KeyRecord* key;
+    std::vector<std::uint8_t> frame;
   };
 
   int retransmit_mult_;

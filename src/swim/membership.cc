@@ -22,6 +22,7 @@ bool MembershipTable::contains(const std::string& name) const {
 }
 
 std::vector<const Member*> MembershipTable::all() const {
+  if (order_fresh_) return {order_.begin(), order_.end()};
   std::vector<const Member*> out;
   out.reserve(members_.size());
   for (const auto& [_, m] : members_) out.push_back(&m);
@@ -30,17 +31,22 @@ std::vector<const Member*> MembershipTable::all() const {
 
 Member& MembershipTable::add(Member m, Rng& rng) {
   auto [it, inserted] = members_.emplace(m.name, std::move(m));
-  if (inserted) ++counts_[static_cast<std::size_t>(it->second.state)];
-  if (inserted && it->first != self_) {
-    // Random-position insertion keeps expected first-detection latency equal
-    // to uniform random selection (paper §III-A).
-    const std::size_t pos =
-        static_cast<std::size_t>(rng.uniform(probe_order_.size() + 1));
-    probe_order_.insert(probe_order_.begin() + static_cast<std::ptrdiff_t>(pos),
-                        &it->first);
-    if (pos < probe_index_) ++probe_index_;
+  if (!inserted) return it->second;
+  Member* const rec = &it->second;
+  ++counts_[static_cast<std::size_t>(rec->state)];
+  order_fresh_ = false;
+  if (it->first == self_) {
+    self_rec_ = rec;
+    return *rec;
   }
-  return it->second;
+  // Random-position insertion keeps expected first-detection latency equal
+  // to uniform random selection (paper §III-A).
+  const std::size_t pos =
+      static_cast<std::size_t>(rng.uniform(probe_order_.size() + 1));
+  probe_order_.insert(probe_order_.begin() + static_cast<std::ptrdiff_t>(pos),
+                      rec);
+  if (pos < probe_index_) ++probe_index_;
+  return *rec;
 }
 
 void MembershipTable::set_state(Member& m, MemberState s, TimePoint now) {
@@ -53,11 +59,13 @@ void MembershipTable::set_state(Member& m, MemberState s, TimePoint now) {
 void MembershipTable::remove(const std::string& name) {
   const auto it = members_.find(name);
   if (it == members_.end()) return;
-  --counts_[static_cast<std::size_t>(it->second.state)];
-  // Probe entries point at the stored key: drop them before the member.
-  std::erase_if(probe_order_,
-                [&](const std::string* p) { return *p == name; });
+  Member* const rec = &it->second;
+  --counts_[static_cast<std::size_t>(rec->state)];
+  // Probe entries point at the record: drop them before the member.
+  std::erase(probe_order_, rec);
+  if (rec == self_rec_) self_rec_ = nullptr;
   members_.erase(it);
+  order_fresh_ = false;
   if (probe_index_ > probe_order_.size()) probe_index_ = 0;
 }
 
@@ -71,9 +79,8 @@ Member* MembershipTable::next_probe_target(Rng& rng) {
       probe_index_ = 0;
       if (probe_order_.empty()) return nullptr;
     }
-    const std::string& name = *probe_order_[probe_index_++];
-    Member* m = find(name);
-    if (m != nullptr && m->name != self_ && is_active(m->state)) return m;
+    Member* m = probe_order_[probe_index_++];
+    if (is_active(m->state)) return m;  // self never enters the order
   }
   return nullptr;
 }

@@ -46,7 +46,7 @@ class MembershipTable {
   int num_active() const {
     return count(MemberState::kAlive) + count(MemberState::kSuspect);
   }
-  /// All known members (any state), unspecified order.
+  /// All known members (any state), in the member map's iteration order.
   std::vector<const Member*> all() const;
   std::size_t size() const { return members_.size(); }
 
@@ -55,7 +55,8 @@ class MembershipTable {
   /// random position (SWIM's join rule). Returns the stored record.
   Member& add(Member m, Rng& rng);
   /// Update state; maintains the per-state counts. Does not touch probe order
-  /// (dead members are skipped lazily at selection time).
+  /// (dead members are skipped lazily at selection time) or the cached
+  /// member order.
   void set_state(Member& m, MemberState s, TimePoint now);
   /// Drop a member entirely (dead-reclaim housekeeping).
   void remove(const std::string& name);
@@ -78,11 +79,22 @@ class MembershipTable {
                                       const Pred& pred) {
     std::vector<Member*> candidates;
     candidates.reserve(members_.size());
-    for (auto& [name, m] : members_) {
-      if (name == self_) continue;
-      if (std::find(exclude.begin(), exclude.end(), name) != exclude.end())
-        continue;
-      if (pred(m)) candidates.push_back(&m);
+    const auto consider = [&](Member* m) {
+      if (m == self_rec_) return;
+      if (std::find(exclude.begin(), exclude.end(), m->name) != exclude.end())
+        return;
+      if (pred(*m)) candidates.push_back(m);
+    };
+    if (order_fresh_) {
+      for (Member* m : order_) consider(m);
+    } else {
+      // The one walk a stale cache costs anyway refills it.
+      order_.clear();
+      for (auto& [_, m] : members_) {
+        order_.push_back(&m);
+        consider(&m);
+      }
+      order_fresh_ = true;
     }
     // Partial Fisher–Yates: uniform k-subset in O(k) swaps.
     std::vector<Member*> out;
@@ -106,12 +118,20 @@ class MembershipTable {
  private:
   std::string self_;
   std::unordered_map<std::string, Member> members_;
-  /// Round-robin order as pointers into `members_` keys (node-stable across
-  /// rehash; remove() drops entries before erasing the member). Pointers
-  /// keep the random-position join insert an 8-byte memmove per slot — at
-  /// big-cluster join-storm rates the string version's O(n) string moves per
-  /// add were a measurable quadratic term.
-  std::vector<const std::string*> probe_order_;
+  /// Self's record (nullptr until added): selection skips it by address.
+  const Member* self_rec_ = nullptr;
+  /// `members_`'s iteration order, cached. Only an insert or an erase can
+  /// change that order (a rehash happens only on insert), so add/remove mark
+  /// the cache stale and the next random_members walk refills it. A fresh
+  /// cache turns the per-selection walk of the map's node chain into
+  /// independent loads.
+  std::vector<Member*> order_;
+  bool order_fresh_ = false;
+  /// Round-robin order as pointers to the records in `members_` (node-stable
+  /// across rehash; remove() drops the entry before erasing the member).
+  /// Pointers keep the random-position join insert an 8-byte memmove per
+  /// slot, and a probe step a load instead of a string-keyed find.
+  std::vector<Member*> probe_order_;
   std::size_t probe_index_ = 0;
   /// Members per MemberState, indexed by its value.
   std::array<int, 4> counts_{};

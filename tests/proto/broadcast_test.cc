@@ -3,7 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
+#include "proto/wire.h"
 
 namespace lifeguard::proto {
 namespace {
@@ -127,6 +133,96 @@ TEST(BroadcastQueue, EveryQueuedFrameEventuallyTransmitsExactlyLimitTimes) {
     EXPECT_EQ(cnt, limit) << tag;
   }
   EXPECT_TRUE(q.empty());
+}
+
+TEST(BroadcastQueue, RanksSurviveKeyTableRehash) {
+  // Each queued entry reaches its key-table record through a pointer, and a
+  // transmit bump writes the new rank there. 2400 distinct keys force several
+  // rehashes of that table while ranks are being bumped, re-queued and
+  // invalidated; every batch must still match a brute-force model that
+  // packs frames sorted by (transmits, newest first), and every frame that
+  // is not superseded must go out exactly `limit` times.
+  struct Pending {
+    int transmits = 0;
+    std::uint64_t id = 0;
+    std::vector<std::uint8_t> frame;
+  };
+  Rng rng(11);
+  BroadcastQueue q(1);
+  const int n = 100;  // limit = 1·ceil(log10(101)) = 3
+  const int limit = retransmit_limit(1, n);
+  std::map<std::string, Pending> model;
+  std::map<std::uint64_t, int> sent;  // enqueue id -> times handed out
+  std::vector<std::uint64_t> expired;  // ids that left by reaching the limit
+  std::uint64_t next_id = 0;
+
+  // Frames carry their enqueue id in the first 8 bytes, then 0-7 pad bytes.
+  const auto queue = [&](const std::string& key) {
+    Pending p{0, next_id++, {}};
+    for (int b = 0; b < 8; ++b)
+      p.frame.push_back(static_cast<std::uint8_t>(p.id >> (8 * b)));
+    p.frame.resize(8 + rng.uniform(8), 0xee);
+    q.queue(key, p.frame);
+    model[key] = std::move(p);
+  };
+  const auto frame_id = [](const std::vector<std::uint8_t>& f) {
+    std::uint64_t id = 0;
+    for (int b = 0; b < 8; ++b) id |= std::uint64_t{f[b]} << (8 * b);
+    return id;
+  };
+  const auto drain = [&](std::size_t budget) {
+    std::vector<std::pair<std::string, Pending*>> order;
+    for (auto& [key, p] : model) order.emplace_back(key, &p);
+    std::sort(order.begin(), order.end(), [](const auto& a, const auto& b) {
+      if (a.second->transmits != b.second->transmits)
+        return a.second->transmits < b.second->transmits;
+      return a.second->id > b.second->id;
+    });
+    std::vector<std::uint64_t> want;
+    std::vector<std::string> picked;
+    std::size_t used = 0;
+    for (const auto& [key, p] : order) {
+      const std::size_t cost =
+          p->frame.size() + compound_frame_overhead(p->frame.size());
+      if (used + cost > budget) continue;
+      used += cost;
+      want.push_back(p->id);
+      picked.push_back(key);
+    }
+    std::vector<std::uint64_t> got;
+    for (const auto& f : q.get_broadcasts(0, budget, n)) {
+      got.push_back(frame_id(f));
+      ++sent[got.back()];
+    }
+    ASSERT_EQ(got, want);
+    for (const auto& key : picked) {
+      Pending& p = model[key];
+      if (++p.transmits < limit) continue;
+      expired.push_back(p.id);
+      model.erase(key);
+    }
+  };
+
+  for (int i = 0; i < 2400; ++i) {
+    queue("k" + std::to_string(i));
+    if (i % 7 == 3) queue("k" + std::to_string(rng.uniform(i + 1)));
+    if (i % 11 == 5) {
+      const std::string key = "k" + std::to_string(rng.uniform(i + 1));
+      q.invalidate(key);
+      model.erase(key);
+    }
+    if (i % 5 == 0) drain(20 + rng.uniform(60));
+    if (HasFatalFailure()) return;
+    ASSERT_EQ(q.pending(), model.size()) << "after key " << i;
+  }
+  while (!model.empty()) {
+    drain(20 + rng.uniform(60));
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_TRUE(q.empty());
+  EXPECT_GT(expired.size(), 2000u);
+  for (std::uint64_t id : expired) EXPECT_EQ(sent[id], limit) << "id " << id;
+  for (const auto& [id, cnt] : sent) EXPECT_LE(cnt, limit) << "id " << id;
 }
 
 }  // namespace

@@ -3,9 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <optional>
 #include <set>
+#include <string>
+#include <unordered_map>
+#include <vector>
 
 namespace lifeguard::swim {
 namespace {
@@ -229,6 +233,89 @@ TEST(Membership, StateCountsMatchRecountUnderRandomMutation) {
       ASSERT_EQ(t.num_active(), recount[MemberState::kAlive] +
                                     recount[MemberState::kSuspect])
           << "seed " << seed << " step " << step;
+    }
+  }
+}
+
+TEST(Membership, CachedOrderIsTheMapOrder) {
+  // The cached member order replays the member map's own iteration order.
+  // Fed the same key operations, a plain unordered_map must iterate in the
+  // order all() lists, whether the cache is stale (after an insert or erase)
+  // or fresh (after a selection refilled it). And a selection must not
+  // depend on which walk filled the cache: a table queried after every step
+  // and one queried only at checkpoints pick the same names from
+  // identically seeded rngs.
+  constexpr MemberState kStates[] = {MemberState::kAlive,
+                                     MemberState::kSuspect, MemberState::kDead,
+                                     MemberState::kLeft};
+  const auto names = [](const auto& ms) {
+    std::vector<std::string> out;
+    for (const Member* m : ms) out.push_back(m->name);
+    return out;
+  };
+  const auto not_left = [](const Member& m) {
+    return m.state != MemberState::kLeft;
+  };
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng ops(seed);
+    Rng join_every(seed), join_checkpoints(seed);  // add() draws probe slots
+    MembershipTable every("self");
+    MembershipTable checkpoints("self");
+    std::unordered_map<std::string, int> plain;
+    const auto add = [&](const std::string& name, MemberState s) {
+      every.add(mk(name, s), join_every);
+      checkpoints.add(mk(name, s), join_checkpoints);
+      plain.emplace(name, 0);
+    };
+    add("self", MemberState::kAlive);
+    for (int step = 0; step < 300; ++step) {
+      // Names m0..m39 plus self, so self is also removed and re-added.
+      const std::uint64_t pick = ops.uniform(41);
+      const std::string name = pick == 40 ? "self" : "m" + std::to_string(pick);
+      const MemberState s = kStates[ops.uniform(4)];
+      switch (ops.uniform(4)) {
+        case 0:
+        case 1:
+          add(name, s);
+          break;
+        case 2:
+          if (Member* m = every.find(name)) every.set_state(*m, s, TimePoint{});
+          if (Member* m = checkpoints.find(name))
+            checkpoints.set_state(*m, s, TimePoint{});
+          break;
+        default:
+          every.remove(name);
+          checkpoints.remove(name);
+          plain.erase(name);
+          break;
+      }
+      std::vector<std::string> want;
+      for (const auto& [key, _] : plain) want.push_back(key);
+      ASSERT_EQ(names(every.all()), want)
+          << "seed " << seed << " step " << step;
+
+      const std::vector<std::string> exclude =
+          step % 3 == 0 ? std::vector<std::string>{name}
+                        : std::vector<std::string>{};
+      Rng sel(seed * 1000 + static_cast<std::uint64_t>(step));
+      const auto got = names(every.random_members(6, sel, exclude, not_left));
+      ASSERT_EQ(names(every.all()), want)
+          << "seed " << seed << " step " << step;
+      for (const auto& g : got) {
+        EXPECT_NE(g, "self");
+        EXPECT_EQ(std::count(exclude.begin(), exclude.end(), g), 0);
+      }
+      Rng again(seed * 1000 + static_cast<std::uint64_t>(step));
+      ASSERT_EQ(names(every.random_members(6, again, exclude, not_left)), got)
+          << "seed " << seed << " step " << step;
+      if (step % 20 == 19) {
+        Rng cp(seed * 1000 + static_cast<std::uint64_t>(step));
+        ASSERT_EQ(
+            names(checkpoints.random_members(6, cp, exclude, not_left)), got)
+            << "seed " << seed << " step " << step;
+        ASSERT_EQ(cp.uniform(1u << 30), sel.uniform(1u << 30));
+        ASSERT_EQ(names(checkpoints.all()), want);
+      }
     }
   }
 }
